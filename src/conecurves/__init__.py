@@ -19,6 +19,7 @@ from .components import (
 )
 from .conegeom import (
     ConeSpace,
+    Lift,
     TildeClass,
     base_degree,
     build_cone,
@@ -30,6 +31,7 @@ from .conegeom import (
     has_lines,
     is_nonempty,
     lemma_equiv_check,
+    lift,
     pushforward_degree,
 )
 from .errors import InputError, InternalError
@@ -59,6 +61,7 @@ __all__ = [
     "EquidimReport",
     "InputError",
     "InternalError",
+    "Lift",
     "ParabolicData",
     "Root",
     "RootSystem",
@@ -84,6 +87,7 @@ __all__ = [
     "kappa",
     "lemma_equiv_check",
     "level_weights",
+    "lift",
     "minimal_ample",
     "ne",
     "pair",

@@ -82,23 +82,11 @@ def level_weights(a: AffineData, level: int) -> list[tuple[int, ...]]:
     """
     if level < 0:
         raise InputError(f"level must be >= 0, got {level}")
-    return sorted(_weight_vectors(a.comarks, level), key=grade_key)
-
-
-def _weight_vectors(comark: tuple[int, ...], level: int):
-    if not comark:
-        if level == 0:
-            yield ()
-        return
-    head = comark[0]
-    rest = comark[1:]
-    for k in range(level // head + 1):
-        for tail in _weight_vectors(rest, level - k * head):
-            yield (k, *tail)
+    return list(components.graded_solutions(a.comarks, level))
 
 
 def _count_weight_vectors(comark: tuple[int, ...], level: int) -> int:
-    return sum(1 for _ in _weight_vectors(comark, level))
+    return sum(1 for _ in components.graded_solutions(comark, level))
 
 
 def _marked_diagram_components(rs: RootSystem, alpha_p: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -152,7 +140,7 @@ def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:
     comark_vecs = [_subsystem_comarks(rs, comp) for comp in comps]
     ne_count = len(components.ne(cone, degree))
     ir_count = 0
-    for split in _weight_vectors((1,) * len(comps), degree):
+    for split in components.graded_solutions((1,) * len(comps), degree):
         prod = 1
         for vec, lv in zip(comark_vecs, split):
             prod *= _count_weight_vectors(vec, lv)

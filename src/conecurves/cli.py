@@ -3,19 +3,24 @@
 Commands: roots, gp, ne, classify, affine-compare, selfcheck.
 Exit codes: 0 success, 2 invalid input, 3 internal inconsistency.
 All output is deterministic; classify emits JSON (default) or TSV.
+Integer arguments accept ASCII decimal digits only.  A reader that
+closes stdout early (`conecurves ne ... | head -1`) ends the run with
+exit code 0 and nothing on stderr: stdout is pointed at os.devnull so
+that the interpreter's final flush does not fail again.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
 from . import selfcheck
 from .affine import compare_ne_ir
 from .components import ComponentReport, classify, ne
-from .conegeom import ConeSpace, build_cone, e_intersection
+from .conegeom import ConeSpace, build_cone
 from .errors import InputError, InternalError
 from .parabolic import build_parabolic, kappa, minimal_ample, parse_alpha_p, parse_lambda
 from .rootsys import CartanType, build_root_system, highest_root, rho
@@ -27,6 +32,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(f"input error: {message}", file=sys.stderr)
         raise SystemExit(2)
+
+
+def _decimal(text: str) -> int:
+    """argparse type for a nonnegative integer written in ASCII decimal digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
+    return int(text)
 
 
 def _fmt(vec) -> str:
@@ -69,7 +81,7 @@ def report_to_dict(report: ComponentReport) -> dict:
                 "alpha_prime": c.alpha_prime,
                 "vertex_multiplicity": c.vertex_multiplicity,
                 "relative_degree": c.tilde.relative_degree,
-                "e": e_intersection(cone, c.tilde),
+                "e": c.vertex_multiplicity,  # classify checked it equal to e
                 "dimension": c.dimension,
             }
             for c in report.components
@@ -128,11 +140,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         print("beta\talpha_prime\tvertex_multiplicity\trelative_degree\te\tdimension")
         for c in report.components:
-            e = e_intersection(cone, c.tilde)
-            print(
-                f"{_fmt(c.beta.coeffs)}\t{c.alpha_prime}\t{c.vertex_multiplicity}"
-                f"\t{c.tilde.relative_degree}\t{e}\t{c.dimension}"
-            )
+            m = c.vertex_multiplicity  # classify checked it equal to e
+            print(f"{_fmt(c.beta.coeffs)}\t{c.alpha_prime}\t{m}\t{c.tilde.relative_degree}\t{m}\t{c.dimension}")
     return 0
 
 
@@ -173,8 +182,8 @@ def _add_cone_args(sp: argparse.ArgumentParser) -> None:
         required=True,
         help="ample weight coordinates, e.g. 1,0,2, or 'min' for the minimal ample weight",
     )
-    sp.add_argument("--vertex-dim", type=int, required=True, help="dimension of the vertex summand V")
-    sp.add_argument("--degree", type=int, required=True, help="total curve degree on the cone")
+    sp.add_argument("--vertex-dim", type=_decimal, required=True, help="dimension of the vertex summand V")
+    sp.add_argument("--degree", type=_decimal, required=True, help="total curve degree on the cone")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -209,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("affine-compare", help="effective-class count vs affine level count (full flag, minimal ample)")
     sp.add_argument("--type", required=True, help="Cartan type, e.g. A2")
-    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--degree", type=_decimal, required=True)
     sp.set_defaults(func=cmd_affine_compare)
 
     sp = sub.add_parser("selfcheck", help="run the built-in oracle suites")
@@ -218,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -232,6 +241,17 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone; what is still buffered goes to devnull at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -13,37 +13,43 @@ component dimension is
 
 which is cross-checked on every descriptor against the morphism-space
 dimension of the lifted class on the resolution.
+
+Index sets come from one enumerator, graded_solutions, which emits the
+vectors of a fixed weighted degree already in grade_key order (ascending
+coordinate sum, then decreasing lexicographic), so nothing is sorted
+afterwards; affine counts its weights with the same routine.  Each
+component's lift is checked from a single call to conegeom.lift, the one
+source of l, e and x.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .conegeom import (
+from .conegeom import (  # noqa: F401  e_intersection stays importable from this module
     ConeSpace,
     TildeClass,
     base_degree,
-    dim_mor_tilde,
     e_intersection,
     has_lines,
-    is_nonempty,
+    lift,
 )
 from .errors import InputError, InternalError
-from .rootsys import grade_key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EffectiveClass:
     """An effective base curve class: nonnegative coordinates on the Picard generators."""
 
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(c < 0 for c in self.coeffs):
+        if min(self.coeffs, default=0) < 0:
             raise InputError(f"effective class must have nonnegative coordinates, got {self.coeffs}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentDescriptor:
     """One irreducible component: base class, degrees, vertex multiplicity, dimension."""
 
@@ -90,20 +96,65 @@ def ne(cone: ConeSpace, degree: int) -> list[EffectiveClass]:
     """
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
-    sols = sorted(_weighted_solutions(cone.ell, degree), key=grade_key)
-    return [EffectiveClass(v) for v in sols]
+    return [EffectiveClass(v) for v in graded_solutions(cone.ell, degree)]
 
 
-def _weighted_solutions(weights: tuple[int, ...], target: int):
-    if not weights:
+def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:
+    """Nonnegative integer vectors v with <v, weights> = target, in grade_key order.
+
+    The weights must be positive.  For each coordinate sum s, ascending,
+    the vectors of that sum are emitted in decreasing lexicographic
+    order: each coordinate runs downward over exactly the values that
+    leave a remaining degree t' reachable by the remaining sum s' on the
+    suffix, s'*min(suffix) <= t' <= s'*max(suffix).  The last two
+    coordinates are solved from the two linear equations directly.
+    """
+    k = len(weights)
+    if target < 0:
+        return
+    if k == 0:
         if target == 0:
             yield ()
         return
-    head = weights[0]
-    rest = weights[1:]
-    for k in range(target // head + 1):
-        for tail in _weighted_solutions(rest, target - k * head):
-            yield (k, *tail)
+    w = weights
+    lo_w = [min(w[i:]) for i in range(k)]
+    hi_w = [max(w[i:]) for i in range(k)]
+
+    def fill(prefix: tuple[int, ...], i: int, s: int, t: int) -> Iterator[tuple[int, ...]]:
+        # Invariant: s * lo_w[i] <= t <= s * hi_w[i].
+        if i == k - 1:
+            if w[i] * s == t:
+                yield prefix + (s,)
+            return
+        a = w[i]
+        if i == k - 2:
+            b = w[i + 1]
+            if a == b:
+                if a * s == t:
+                    for v in range(s, -1, -1):
+                        yield prefix + (v, s - v)
+                return
+            v, r = divmod(t - b * s, a - b)
+            if not r and 0 <= v <= s:
+                yield prefix + (v, s - v)
+            return
+        # Bounds on v from lo*(s - v) <= t - a*v <= hi*(s - v).
+        lo, hi = lo_w[i + 1], hi_w[i + 1]
+        top = min(s, t // a)
+        bottom = 0
+        if a > lo:
+            top = min(top, (t - s * lo) // (a - lo))
+        elif a < lo:
+            bottom = max(0, -((t - s * lo) // (lo - a)))
+        if a < hi:
+            top = min(top, (s * hi - t) // (hi - a))
+        elif a > hi:
+            bottom = max(bottom, -((s * hi - t) // (a - hi)))
+        for v in range(top, bottom - 1, -1):
+            yield from fill(prefix + (v,), i + 1, s - v, t - a * v)
+
+    for s in range(-(-target // hi_w[0]), target // lo_w[0] + 1):
+        yield from fill((), 0, s, target)
 
 
 def total_degree(cone: ConeSpace, beta: EffectiveClass) -> int:
@@ -116,9 +167,11 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
 
     Each descriptor carries the lift of its generic curve to the
     resolution: relative degree (n+1)*multiplicity + n*d', so the
-    exceptional intersection equals the vertex multiplicity.  Every lift
-    is checked to be nonempty and to reproduce the stated dimension via
-    the morphism-space formula on the resolution.
+    exceptional intersection equals the vertex multiplicity.  From one
+    conegeom.lift call per component, every lift is checked to have e
+    equal to the multiplicity, to be nonempty, to give the same
+    morphism-space dimension by both routes, and to reproduce the stated
+    dimension; a failure raises InternalError.
     """
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
@@ -128,19 +181,21 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
     else:
         strata = [(dp, degree - dp) for dp in range(degree, -1, -1)]
     n = cone.vertex_dim
-    chern = cone.parabolic.chern_degrees
+    top = (n + 1) * degree + cone.dim_x
     descriptors: list[ComponentDescriptor] = []
     for alpha_prime, mult in strata:
+        rel = (n + 1) * mult + n * alpha_prime
         for beta in ne(cone, alpha_prime):
-            tilde = TildeClass(beta.coeffs, (n + 1) * mult + n * alpha_prime)
-            if e_intersection(cone, tilde) != mult or not is_nonempty(cone, tilde):
+            tilde = TildeClass(beta.coeffs, rel)
+            lf = lift(cone, beta.coeffs, rel)
+            if lf.e != mult or not lf.nonempty:
                 raise InternalError(f"constructed lift {tilde} is not a valid nonempty class")
-            dim = (
-                sum(b * (c - l) for b, c, l in zip(beta.coeffs, chern, cone.ell))
-                + (n + 1) * degree
-                + cone.dim_x
-            )
-            if dim != dim_mor_tilde(cone, tilde):
+            if lf.dim_branch != lf.dim_base_fiber:
+                raise InternalError(
+                    f"dimension routes disagree: {lf.dim_branch} != {lf.dim_base_fiber} for {tilde}"
+                )
+            dim = lf.chern_base - lf.base_degree + top
+            if dim != lf.dim_branch:
                 raise InternalError(
                     f"component dimension {dim} disagrees with the lifted morphism space for {tilde}"
                 )

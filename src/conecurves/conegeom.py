@@ -17,11 +17,19 @@ numbers flow from the single identity
 
 the intersection with E; a class exists only when that quotient is an
 integer.  The degree of the pushforward to the cone is l + e.
+
+`lift` is the single source of l, e and x: it sums <beta, ell> and
+<beta, chern> once and derives from them nonemptiness, the fiber
+dimension, the anticanonical degree and both routes to the
+morphism-space dimension.  The per-quantity functions below are thin
+views of its result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
+from typing import NamedTuple
 
 from .errors import InputError, InternalError
 from .parabolic import ParabolicData, validate_ample
@@ -54,7 +62,7 @@ class ConeSpace:
         return self.parabolic.dim_gp + self.vertex_dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TildeClass:
     """A curve class on the resolution: base class plus relative degree."""
 
@@ -101,26 +109,88 @@ def lemma_equiv_check(cone: ConeSpace) -> bool:
     return (not has_lines(cone)) == all(l >= 2 for l in cone.ell)
 
 
+class Lift(NamedTuple):
+    """Every number derived from one curve class on the resolution.
+
+    base_degree is l = <beta, ell>, chern_base is <beta, chern>, e the
+    exceptional intersection and x = l + e the section twist.  The last
+    three fields are None for an empty class: fiber_dim is the section
+    space over a fixed base map, dim_branch the closed-branch morphism
+    dimension and dim_base_fiber the base-plus-fiber route to it.
+    """
+
+    base_degree: int
+    chern_base: int
+    e: int
+    x: int
+    nonempty: bool
+    chern_degree: int
+    fiber_dim: int | None
+    dim_branch: int | None
+    dim_base_fiber: int | None
+
+
+def lift(cone: ConeSpace, beta: tuple[int, ...], relative_degree: int) -> Lift:
+    """All derived numbers of the class (beta, relative_degree), from one pass over beta.
+
+    Raises InputError when beta has the wrong length or when the
+    exceptional intersection e = (d - n*l)/(n+1) is not an integer (no
+    such class exists).  Writing d for the relative degree:
+
+    * nonempty: beta effective and d = -l or d >= l when the vertex
+      summand is a line (n = 1), d >= -l when n >= 2; equivalently
+      x >= 0, refined for n = 1 to x = 0 or x >= l;
+    * fiber_dim: sections of P((V (x) O) + O(l)) over P^1 are
+      surjections onto O(x) modulo scalars; if x < l every section lies
+      in E and the space has dimension n*x + n - 1, otherwise d + n;
+    * chern_degree: <beta, chern> + d, the tangent bundle splitting the
+      base tangent degree off the relative one;
+    * dim_branch: chern_degree + dim_x when d >= n*l (e >= 0), and
+      chern_degree + dim_x - e - 1 when d < n*l (e < 0);
+    * dim_base_fiber: <beta, chern> + dim(G/P) + fiber_dim.
+    """
+    ell = cone.ell
+    if len(beta) != len(ell):
+        raise InputError(f"beta has {len(beta)} entries, expected {len(ell)}")
+    n = cone.vertex_dim
+    d = relative_degree
+    l = sum(map(mul, beta, ell))
+    e, r = divmod(d - n * l, n + 1)
+    if r:
+        raise InputError(
+            f"no class with relative degree {d} over a base class of degree {l}: "
+            f"{d - n * l} is not divisible by {n + 1}"
+        )
+    x = l + e
+    par = cone.parabolic
+    chern_base = sum(map(mul, beta, par.chern_degrees))
+    chern_degree = chern_base + d
+    if min(beta) < 0:
+        nonempty = False
+    elif n == 1:
+        nonempty = d == -l or d >= l
+    else:
+        nonempty = d >= -l
+    if not nonempty:
+        return Lift(l, chern_base, e, x, False, chern_degree, None, None, None)
+    fiber = n * x + n - 1 if x < l else d + n
+    dim_x = par.dim_gp + n
+    branch = chern_degree + dim_x if e >= 0 else chern_degree + dim_x - e - 1
+    return Lift(l, chern_base, e, x, True, chern_degree, fiber, branch, chern_base + par.dim_gp + fiber)
+
+
 def e_intersection(cone: ConeSpace, t: TildeClass) -> int:
     """Intersection of the class with the exceptional divisor.
 
     e = (relative_degree - n*l) / (n+1).  Non-divisibility means no such
     curve class exists on the resolution and raises InputError.
     """
-    n = cone.vertex_dim
-    l = base_degree(cone, t.beta)
-    num = t.relative_degree - n * l
-    if num % (n + 1):
-        raise InputError(
-            f"no class with relative degree {t.relative_degree} over a base class of degree {l}: "
-            f"{num} is not divisible by {n + 1}"
-        )
-    return num // (n + 1)
+    return lift(cone, t.beta, t.relative_degree).e
 
 
 def pushforward_degree(cone: ConeSpace, t: TildeClass) -> int:
-    """Total degree of the image curve on the cone: base degree plus e."""
-    return base_degree(cone, t.beta) + e_intersection(cone, t)
+    """Total degree of the image curve on the cone: base degree plus e, the section twist x."""
+    return lift(cone, t.beta, t.relative_degree).x
 
 
 def is_nonempty(cone: ConeSpace, t: TildeClass) -> bool:
@@ -129,37 +199,22 @@ def is_nonempty(cone: ConeSpace, t: TildeClass) -> bool:
     Needs beta effective (all coordinates >= 0) and, writing d for the
     relative degree and l for the base degree: d = -l or d >= l when the
     vertex summand is a line (n = 1), and d >= -l when n >= 2.
-    Equivalently the section twist x = (d + l)/(n + 1) satisfies x >= 0,
-    refined for n = 1 to x = 0 or x >= l.
+    Raises InputError when the class does not exist (see lift).
     """
-    e_intersection(cone, t)  # class must exist at all
-    if any(b < 0 for b in t.beta):
-        return False
-    n = cone.vertex_dim
-    d = t.relative_degree
-    l = base_degree(cone, t.beta)
-    if n == 1:
-        return d == -l or d >= l
-    return d >= -l
+    return lift(cone, t.beta, t.relative_degree).nonempty
 
 
 def fiber_dim(cone: ConeSpace, t: TildeClass) -> int:
     """Dimension of the space of sections over a fixed base map.
 
-    Sections of P((V (x) O) + O(l)) over P^1 with relative degree d are
-    surjections onto O(x) with x = (d + l)/(n + 1), modulo scalars.  If
-    x < l every section lies in the exceptional divisor and the space
-    has dimension n*x + n - 1; otherwise it has dimension d + n.
+    n*x + n - 1 when x < l (every section lies in the exceptional
+    divisor), d + n otherwise, with x = (d + l)/(n + 1).  An empty class
+    raises InputError.
     """
-    if not is_nonempty(cone, t):
+    lf = lift(cone, t.beta, t.relative_degree)
+    if not lf.nonempty:
         raise InputError("empty class: no sections over the base map")
-    n = cone.vertex_dim
-    d = t.relative_degree
-    l = base_degree(cone, t.beta)
-    x = (d + l) // (n + 1)
-    if x < l:
-        return n * x + n - 1
-    return d + n
+    return lf.fiber_dim
 
 
 def chern_degree_tilde(cone: ConeSpace, t: TildeClass) -> int:
@@ -168,9 +223,7 @@ def chern_degree_tilde(cone: ConeSpace, t: TildeClass) -> int:
     Equals <beta, chern_degrees> + relative_degree: the tangent bundle
     splits the base tangent degree off the relative one.
     """
-    _check_beta(cone, t.beta)
-    e_intersection(cone, t)  # class must exist
-    return sum(b * c for b, c in zip(t.beta, cone.parabolic.chern_degrees)) + t.relative_degree
+    return lift(cone, t.beta, t.relative_degree).chern_degree
 
 
 def dim_mor_tilde(cone: ConeSpace, t: TildeClass) -> int:
@@ -186,21 +239,9 @@ def dim_mor_tilde(cone: ConeSpace, t: TildeClass) -> int:
     (base map space plus section space); the two routes are compared on
     every call and a mismatch raises InternalError.
     """
-    if not is_nonempty(cone, t):
+    lf = lift(cone, t.beta, t.relative_degree)
+    if not lf.nonempty:
         raise InputError("empty class: the morphism space has no dimension")
-    n = cone.vertex_dim
-    l = base_degree(cone, t.beta)
-    e = e_intersection(cone, t)
-    chern = chern_degree_tilde(cone, t)
-    if t.relative_degree >= n * l:
-        dim = chern + cone.dim_x
-    else:
-        dim = chern + cone.dim_x - e - 1
-    base_route = (
-        sum(b * c for b, c in zip(t.beta, cone.parabolic.chern_degrees))
-        + cone.parabolic.dim_gp
-        + fiber_dim(cone, t)
-    )
-    if dim != base_route:
-        raise InternalError(f"dimension routes disagree: {dim} != {base_route} for {t}")
-    return dim
+    if lf.dim_branch != lf.dim_base_fiber:
+        raise InternalError(f"dimension routes disagree: {lf.dim_branch} != {lf.dim_base_fiber} for {t}")
+    return lf.dim_branch

@@ -81,29 +81,28 @@ def validate_ample(p: ParabolicData, lam: Weight) -> tuple[int, ...]:
     return tuple(lam[i - 1] for i in p.alpha_p)
 
 
+def _parse_decimal(part: str, what: str) -> int:
+    """One comma-separated field: ASCII decimal digits, surrounding spaces allowed."""
+    p = part.strip()
+    if not (p.isascii() and p.isdigit()):
+        raise InputError(f"bad {what} {p!r}; expected ASCII decimal digits")
+    return int(p)
+
+
 def parse_alpha_p(text: str) -> tuple[int, ...]:
-    """Parse comma-separated 1-based node labels, e.g. "2" or "1,3"."""
+    """Parse comma-separated distinct 1-based node labels, e.g. "2" or "1,3"."""
     s = text.strip()
     if not s:
         raise InputError("empty parabolic index list")
-    out = []
-    for part in s.split(","):
-        try:
-            out.append(int(part))
-        except ValueError:
-            raise InputError(f"bad parabolic index {part.strip()!r}") from None
-    return tuple(out)
+    out = tuple(_parse_decimal(part, "parabolic index") for part in s.split(","))
+    if len(set(out)) != len(out):
+        raise InputError(f"repeated parabolic index in {text!r}")
+    return out
 
 
 def parse_lambda(text: str, rank: int) -> Weight:
     """Parse comma-separated full-rank weight coordinates, e.g. "1,0,2"."""
-    parts = text.strip().split(",")
-    coords = []
-    for part in parts:
-        try:
-            coords.append(int(part))
-        except ValueError:
-            raise InputError(f"bad lambda coordinate {part.strip()!r}") from None
+    coords = tuple(_parse_decimal(part, "lambda coordinate") for part in text.strip().split(","))
     if len(coords) != rank:
         raise InputError(f"lambda has {len(coords)} coordinates, expected {rank}")
-    return tuple(coords)
+    return coords

@@ -64,18 +64,17 @@ class CartanType:
 
     @classmethod
     def parse(cls, text: str) -> "CartanType":
-        """Parse strings like "A3" or "e6" (case-insensitive letter + decimal rank)."""
+        """Parse strings like "A3" or "e6" (case-insensitive letter + ASCII decimal rank)."""
         s = text.strip()
         if len(s) < 2:
             raise InputError(f"cannot parse Cartan type {text!r}; expected e.g. 'A3'")
         series = s[0].upper()
         if series not in SERIES:
             raise InputError(f"unknown series {s[0]!r} in {text!r}; expected one of {SERIES}")
-        try:
-            rank = int(s[1:])
-        except ValueError:
-            raise InputError(f"cannot parse rank in {text!r}") from None
-        return cls(series, rank)
+        digits = s[1:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise InputError(f"cannot parse rank in {text!r}; expected ASCII decimal digits")
+        return cls(series, int(digits))
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"

@@ -258,3 +258,46 @@ def test_help_exits_zero(capsys):
     code = main(["--help"])
     capsys.readouterr()
     assert code == 0
+
+
+def test_reader_closing_stdout_early_exits_0_quietly():
+    argv = ["ne", "--type", "E8", "--parabolic", "1,2,3,4,5,6,7,8", "--lambda", "min", "--vertex-dim", "1", "--degree", "9"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "conecurves", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # ne at degree 9 prints about 250 KB, far more than a pipe buffer
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert first == b"ne 9,0,0,0,0,0,0,0\n"
+    assert err == b""
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gp", "--type", "A1_0", "--parabolic", "1"],
+        ["gp", "--type", "A+3", "--parabolic", "1"],
+        ["gp", "--type", "A٣", "--parabolic", "1"],
+        ["gp", "--type", "A3", "--parabolic", "1,1,2"],
+        ["gp", "--type", "A3", "--parabolic", "1,+2"],
+        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "1_0", "--vertex-dim", "1", "--degree", "2"],
+        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "+2", "--vertex-dim", "1", "--degree", "2"],
+        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "2", "--vertex-dim", "+2", "--degree", "2"],
+        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "2", "--vertex-dim", "1", "--degree", "1_0"],
+        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "2", "--vertex-dim", "1", "--degree", "٣"],
+        ["affine-compare", "--type", "A2", "--degree", "+2"],
+    ],
+    ids=["type-underscore", "type-sign", "type-arabic-digit", "repeated-node", "node-sign", "lambda-underscore",
+         "lambda-sign", "vertex-dim-sign", "degree-underscore", "degree-arabic-digit", "affine-degree-sign"],
+)
+def test_non_decimal_or_repeated_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")
+    assert err.count("\n") == 1

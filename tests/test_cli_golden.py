@@ -1,0 +1,54 @@
+"""CLI stdout stays byte-identical on a golden set of invocations.
+
+Each hash is the sha256 of the command's stdout as recorded before the
+classify hot path was rebuilt around conegeom.lift and the graded
+enumerator; a changed hash means the printed output changed.
+"""
+
+import hashlib
+
+import pytest
+
+from conecurves.cli import main
+
+E8_FLAG = ["--type", "E8", "--parabolic", "1,2,3,4,5,6,7,8", "--lambda", "min"]
+
+GOLDEN = [
+    (
+        ["classify", *E8_FLAG, "--vertex-dim", "1", "--degree", "6"],
+        "32ab85639557085e93bd0b0a7381149fc989726621960f1bf5efb90c712000f8",
+    ),
+    (
+        ["classify", "--format", "tsv", "--type", "A1", "--parabolic", "1", "--lambda", "2",
+         "--vertex-dim", "3", "--degree", "40"],
+        "da3196edf66c09e19f18c45e42339966f94e2c28c9946da3bc9185443df8bc72",
+    ),
+    (
+        ["classify", "--exclude-vertex-stratum", "--type", "A3", "--parabolic", "1,3", "--lambda", "min",
+         "--vertex-dim", "2", "--degree", "3"],
+        "8491deade544637d01d32e27cd2118e2e19c5be11ec98078fd7f3de9f26e27af",
+    ),
+    (
+        ["ne", "--type", "B4", "--parabolic", "1,2,3,4", "--lambda", "min", "--vertex-dim", "1", "--degree", "5"],
+        "510461240d5181e47dbf5d9c0127fc0664aa7c5fc9d5f3db3ab6cae06d164aeb",
+    ),
+    (
+        ["affine-compare", "--type", "F4", "--degree", "6"],
+        "10ea8755631b32c6c1034a53eb745fa6fe9e79535d4d341259654590f72ae733",
+    ),
+    (
+        ["gp", "--type", "F4", "--parabolic", "2,3"],
+        "7938c033bde451b35fe2f029dbdb3163184e4be42e87c1c7e935e91a1ab7d787",
+    ),
+    (
+        ["roots", "--type", "G2"],
+        "07cb6a486468ccb580c02f78116c1ae2821125d0c21357d544881aa269022d2e",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[:3]) for a, _ in GOLDEN])
+def test_stdout_hash_unchanged(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

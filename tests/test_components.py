@@ -4,10 +4,12 @@ from itertools import product
 
 import pytest
 
+from conecurves import components
 from conecurves import (
     CartanType,
     EffectiveClass,
     InputError,
+    InternalError,
     build_cone,
     build_parabolic,
     build_root_system,
@@ -199,3 +201,21 @@ def test_dimension_formula_constancy_matches_equidimensionality():
                 for c_ in rep.components
             }
             assert rep.equidimensional == (len(spreads) <= 1)
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda lf: lf._replace(e=lf.e + 1), "is not a valid nonempty class"),
+        (lambda lf: lf._replace(nonempty=False), "is not a valid nonempty class"),
+        (lambda lf: lf._replace(dim_base_fiber=lf.dim_base_fiber + 1), "dimension routes disagree"),
+        (lambda lf: lf._replace(dim_branch=lf.dim_branch + 1, dim_base_fiber=lf.dim_base_fiber + 1),
+         "disagrees with the lifted morphism space"),
+    ],
+    ids=["e-is-multiplicity", "nonempty", "routes-agree", "dimension-formula"],
+)
+def test_classify_lift_checks_can_fail(monkeypatch, corrupt, message):
+    real = components.lift
+    monkeypatch.setattr(components, "lift", lambda cone, beta, d: corrupt(real(cone, beta, d)))
+    with pytest.raises(InternalError, match=message):
+        classify(make_cone("A1", (1,), (2,), 1), 2)

@@ -7,6 +7,7 @@ import pytest
 from conecurves import (
     CartanType,
     InputError,
+    Lift,
     TildeClass,
     base_degree,
     build_cone,
@@ -20,6 +21,7 @@ from conecurves import (
     has_lines,
     is_nonempty,
     lemma_equiv_check,
+    lift,
     pushforward_degree,
 )
 
@@ -141,6 +143,16 @@ def test_dim_mor_examples():
     quad = make_cone("A1", (1,), (2,), 1)
     assert dim_mor_tilde(quad, TildeClass((0,), 4)) == 6
     assert dim_mor_tilde(quad, TildeClass((1,), -2)) == 3
+
+
+def test_lift_fields():
+    quad = make_cone("A1", (1,), (2,), 1)
+    assert lift(quad, (1,), 2) == Lift(2, 2, 0, 2, True, 4, 3, 6, 6)
+    assert lift(quad, (1,), 0) == Lift(2, 2, -1, 1, False, 2, None, None, None)
+    with pytest.raises(InputError):
+        lift(quad, (1, 0), 2)
+    with pytest.raises(InputError):
+        lift(quad, (1,), 1)
 
 
 def test_dim_mor_rejects_empty_class():
