@@ -10,7 +10,11 @@ compare_ne_ir sets those weight counts, taken over the simple factors
 of the Picard lattice of the base (the connected components of the
 marked subdiagram), side by side with the count of effective classes of
 a given degree under the minimal ample embedding.  It is a diagnostic:
-both counts are reported and equality is never assumed.
+both counts are reported and equality is never assumed.  Each count is
+one generating-function coefficient from components.count_solutions:
+the weight count summed over all splittings of the degree among the
+factors is the coefficient of the product of the factors' series, so it
+is the count for all factor comark vectors concatenated.
 """
 
 from __future__ import annotations
@@ -85,10 +89,6 @@ def level_weights(a: AffineData, level: int) -> list[tuple[int, ...]]:
     return list(components.graded_solutions(a.comarks, level))
 
 
-def _count_weight_vectors(comark: tuple[int, ...], level: int) -> int:
-    return sum(1 for _ in components.graded_solutions(comark, level))
-
-
 def _marked_diagram_components(rs: RootSystem, alpha_p: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Connected components of the Dynkin subdiagram induced on the marked nodes."""
     remaining = set(alpha_p)
@@ -127,9 +127,11 @@ def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:
     count multiplies, over the simple factors of the marked subdiagram,
     the numbers of level-exactly-l_i dominant weights of each factor's
     untwisted affine algebra, summed over all splittings
-    l_1 + ... + l_r = degree.  With every node marked there is a single
-    factor, the whole algebra.  Both counts are returned with a match
-    flag; no equality is asserted.
+    l_1 + ... + l_r = degree; that sum is the coefficient of t^degree in
+    the product of the factors' series, so it is counted on the factor
+    comark vectors concatenated.  With every node marked there is a
+    single factor, the whole algebra.  Both counts are returned with a
+    match flag; no equality is asserted.
     """
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
@@ -138,13 +140,8 @@ def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:
     rs = cone.parabolic.rs
     comps = _marked_diagram_components(rs, cone.parabolic.alpha_p)
     comark_vecs = [_subsystem_comarks(rs, comp) for comp in comps]
-    ne_count = len(components.ne(cone, degree))
-    ir_count = 0
-    for split in components.graded_solutions((1,) * len(comps), degree):
-        prod = 1
-        for vec, lv in zip(comark_vecs, split):
-            prod *= _count_weight_vectors(vec, lv)
-        ir_count += prod
+    ne_count = components.count_solutions(cone.ell, degree)
+    ir_count = components.count_solutions(tuple(c for vec in comark_vecs for c in vec), degree)
     return AffineComparison(
         degree,
         ne_count,

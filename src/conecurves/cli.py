@@ -7,6 +7,11 @@ Integer arguments accept ASCII decimal digits only.  A reader that
 closes stdout early (`conecurves ne ... | head -1`) ends the run with
 exit code 0 and nothing on stderr: stdout is pointed at os.devnull so
 that the interpreter's final flush does not fail again.
+
+The work of one run is bounded: ne, classify and affine-compare refuse a
+degree above _MAX_DEGREE while parsing, and ne and classify refuse, from
+the count alone and before enumerating, a request for more than
+_MAX_CLASSES classes or components (exit code 2).
 """
 
 from __future__ import annotations
@@ -19,11 +24,16 @@ from dataclasses import replace
 
 from . import selfcheck
 from .affine import compare_ne_ir
-from .components import ComponentReport, classify, ne
+from .components import ComponentReport, classify, count_components, count_solutions, ne
 from .conegeom import ConeSpace, build_cone
 from .errors import InputError, InternalError
 from .parabolic import build_parabolic, kappa, minimal_ample, parse_alpha_p, parse_lambda
 from .rootsys import CartanType, build_root_system, highest_root, rho
+
+# Largest --degree accepted; the counts that gate enumeration take O(degree) steps.
+_MAX_DEGREE = 100_000
+# Largest number of classes (ne) or components (classify) one run may list.
+_MAX_CLASSES = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,6 +49,19 @@ def _decimal(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
     return int(text)
+
+
+def _degree(text: str) -> int:
+    """argparse type for --degree: ASCII decimal digits, at most _MAX_DEGREE."""
+    degree = _decimal(text)
+    if degree > _MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"degree {degree} exceeds the limit {_MAX_DEGREE}")
+    return degree
+
+
+def _check_size(count: int, what: str) -> None:
+    if count > _MAX_CLASSES:
+        raise InputError(f"the request has {count} {what}, more than the limit {_MAX_CLASSES}")
 
 
 def _fmt(vec) -> str:
@@ -123,6 +146,7 @@ def cmd_gp(args: argparse.Namespace) -> int:
 
 def cmd_ne(args: argparse.Namespace) -> int:
     cone = _make_cone(args)
+    _check_size(count_solutions(cone.ell, args.degree), "effective classes")
     classes = ne(cone, args.degree)
     for beta in classes:
         print(f"ne {_fmt(beta.coeffs)}")
@@ -132,6 +156,7 @@ def cmd_ne(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     cone = _make_cone(args)
+    _check_size(count_components(cone, args.degree), "components")
     report = classify(cone, args.degree)
     if args.exclude_vertex_stratum:
         report = _strip_vertex_stratum(report)
@@ -183,7 +208,7 @@ def _add_cone_args(sp: argparse.ArgumentParser) -> None:
         help="ample weight coordinates, e.g. 1,0,2, or 'min' for the minimal ample weight",
     )
     sp.add_argument("--vertex-dim", type=_decimal, required=True, help="dimension of the vertex summand V")
-    sp.add_argument("--degree", type=_decimal, required=True, help="total curve degree on the cone")
+    sp.add_argument("--degree", type=_degree, required=True, help="total curve degree on the cone")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -218,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("affine-compare", help="effective-class count vs affine level count (full flag, minimal ample)")
     sp.add_argument("--type", required=True, help="Cartan type, e.g. A2")
-    sp.add_argument("--degree", type=_decimal, required=True)
+    sp.add_argument("--degree", type=_degree, required=True)
     sp.set_defaults(func=cmd_affine_compare)
 
     sp = sub.add_parser("selfcheck", help="run the built-in oracle suites")

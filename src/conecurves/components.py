@@ -17,9 +17,18 @@ dimension of the lifted class on the resolution.
 Index sets come from one enumerator, graded_solutions, which emits the
 vectors of a fixed weighted degree already in grade_key order (ascending
 coordinate sum, then decreasing lexicographic), so nothing is sorted
-afterwards; affine counts its weights with the same routine.  Each
+afterwards; ne and affine.level_weights list through it.  Each
 component's lift is checked from a single call to conegeom.lift, the one
 source of l, e and x.
+
+Sizes come from one counting routine, count_solutions, which never
+lists anything: the number of nonnegative v with <v, w> = t is the
+coefficient of x^t in prod 1/(1 - x^w_i) (Stanley, Enumerative
+Combinatorics Vol. 1, ch. 1 and 4), found by an O(k * t) integer
+recurrence.  Without lines, the component count sum_{d' <= d} |ne(d')|
+is the same coefficient with one more weight-1 coordinate: the solutions
+of <beta, ell> + m = d, where the slack m = d - d' is the vertex
+multiplicity.  affine.compare_ne_ir takes both of its counts from it.
 """
 
 from __future__ import annotations
@@ -157,6 +166,22 @@ def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[in
         yield from fill((), 0, s, target)
 
 
+def count_solutions(weights: tuple[int, ...], target: int) -> int:
+    """Number of nonnegative integer vectors v with <v, weights> = target.
+
+    The coefficient of t^target in prod 1/(1 - t^w) over the (positive)
+    weights, by the recurrence that multiplies in one factor at a time.
+    Zero for a negative target, one for target 0.
+    """
+    if target < 0:
+        return 0
+    coeff = [1] + [0] * target
+    for w in weights:
+        for d in range(w, target + 1):
+            coeff[d] += coeff[d - w]
+    return coeff[target]
+
+
 def total_degree(cone: ConeSpace, beta: EffectiveClass) -> int:
     """Embedding degree <beta, ell> of an effective base class."""
     return base_degree(cone, beta.coeffs)
@@ -211,12 +236,18 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
 
 
 def count_components(cone: ConeSpace, degree: int) -> int:
-    """Number of irreducible components, from the index-set cardinalities alone."""
+    """Number of irreducible components, counted without enumerating them.
+
+    With lines this is |ne(degree)|, the solutions of <beta, ell> =
+    degree.  Without lines it is sum over d' <= degree of |ne(d')|, the
+    solutions of <beta, ell> + m = degree with one slack coordinate m of
+    weight 1: the vertex multiplicity degree - d'.
+    """
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
     if has_lines(cone):
-        return len(ne(cone, degree))
-    return sum(len(ne(cone, dp)) for dp in range(degree + 1))
+        return count_solutions(cone.ell, degree)
+    return count_solutions(cone.ell + (1,), degree)
 
 
 def is_equidimensional(cone: ConeSpace, degree: int) -> EquidimReport:

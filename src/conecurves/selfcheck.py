@@ -89,7 +89,7 @@ def _suite_root_counts(res: SuiteResult) -> None:
 
 
 def _suite_lines_dichotomy(res: SuiteResult) -> None:
-    """No lines iff every embedding degree is at least 2, exhaustively."""
+    """No lines iff every embedding degree is at least 2, and lines iff a degree-1 class exists."""
     for ctype in all_types(3):
         rs = rootsys.build_root_system(ctype)
         for subset in _nonempty_subsets(rs.rank):
@@ -99,6 +99,9 @@ def _suite_lines_dichotomy(res: SuiteResult) -> None:
                 res.checks += 1
                 if not conegeom.lemma_equiv_check(cone):
                     res.failures.append(f"{ctype} {subset} ell={ell}: dichotomy equivalence failed")
+                res.checks += 1
+                if conegeom.has_lines(cone) != (components.count_solutions(cone.ell, 1) > 0):
+                    res.failures.append(f"{ctype} {subset} ell={ell}: has_lines disagrees with the degree-1 count")
 
 
 def _suite_dimension_cross_check(res: SuiteResult) -> None:
@@ -145,7 +148,7 @@ def _box_scan(ell: tuple[int, ...], degree: int) -> list[tuple[int, ...]]:
 
 
 def _suite_ne_enumeration(res: SuiteResult) -> None:
-    """ne output equals the box-scan oracle as ordered lists."""
+    """ne equals the box-scan oracle as ordered lists; the counts equal the listed sizes."""
     bases = {
         1: parabolic.build_parabolic(rootsys.build_root_system(rootsys.CartanType("A", 1)), (1,)),
         2: parabolic.build_parabolic(rootsys.build_root_system(rootsys.CartanType("A", 2)), (1, 2)),
@@ -160,6 +163,15 @@ def _suite_ne_enumeration(res: SuiteResult) -> None:
                 want = _box_scan(ell, degree)
                 if got != want:
                     res.failures.append(f"ell={ell} degree={degree}: {got} != {want}")
+                res.checks += 1
+                count = components.count_solutions(ell, degree)
+                if len(got) != count:
+                    res.failures.append(f"ell={ell} degree={degree}: ne lists {len(got)}, count_solutions says {count}")
+                res.checks += 1
+                listed = len(components.classify(cone, degree).components)
+                count = components.count_components(cone, degree)
+                if listed != count:
+                    res.failures.append(f"ell={ell} degree={degree}: classify lists {listed}, count_components says {count}")
 
 
 def _suite_classical_oracles(res: SuiteResult) -> None:

@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from conecurves import cli, rootsys
+from conecurves import cli, components, rootsys
 from conecurves.cli import main, report_to_dict
 from conecurves import CartanType, build_cone, build_parabolic, build_root_system, classify
 from conecurves.parabolic import parse_alpha_p, parse_lambda
@@ -239,6 +240,14 @@ def test_selfcheck_detects_flipped_cartan_sign(monkeypatch, capsys):
     assert "selfcheck FAIL" in out
 
 
+def test_selfcheck_detects_a_wrong_count(monkeypatch, capsys):
+    real = components.count_solutions
+    monkeypatch.setattr(components, "count_solutions", lambda weights, target: real(weights, target) + 1)
+    code, out, _ = run(capsys, ["selfcheck"])
+    assert code == 3
+    assert "selfcheck FAIL" in out
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "conecurves", "classify", *QUADRIC],
@@ -300,4 +309,44 @@ def test_non_decimal_or_repeated_input_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("input error:")
+    assert err.count("\n") == 1
+
+
+E8_FLAG = ["--type", "E8", "--parabolic", "1,2,3,4,5,6,7,8", "--vertex-dim", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ne", *E8_FLAG, "--lambda", "min", "--degree", "40"],
+        ["classify", *E8_FLAG, "--lambda", "min", "--degree", "40"],
+        ["classify", *E8_FLAG, "--lambda", "2,2,2,2,2,2,2,2", "--degree", "60"],
+    ],
+    ids=["ne-lines", "classify-lines", "classify-no-lines"],
+)
+def test_oversized_enumeration_is_refused_before_it_starts(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "more than the limit 1000000" in err
+    assert err.count("\n") == 1
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ne", *E8_FLAG, "--lambda", "min"],
+        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "2", "--vertex-dim", "1"],
+        ["affine-compare", "--type", "A1"],
+    ],
+    ids=["ne", "classify", "affine-compare"],
+)
+def test_degree_above_the_limit_exits_2(capsys, argv):
+    code, out, err = run(capsys, [*argv, "--degree", str(cli._MAX_DEGREE + 1)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "exceeds the limit 100000" in err
     assert err.count("\n") == 1
