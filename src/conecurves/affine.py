@@ -9,7 +9,8 @@ the untwisted affine algebra correspond to nonnegative integer vectors
 compare_ne_ir sets those weight counts, taken over the simple factors
 of the Picard lattice of the base (the connected components of the
 marked subdiagram), side by side with the count of effective classes of
-a given degree under the minimal ample embedding.  It is a diagnostic:
+a given degree under the minimal ample embedding; the factors and their
+highest roots come from rootsys.highest_roots.  It is a diagnostic:
 both counts are reported and equality is never assumed.  Each count is
 one generating-function coefficient from components.count_solutions:
 the weight count summed over all splittings of the degree among the
@@ -20,12 +21,11 @@ is the count for all factor comark vectors concatenated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import components
 from .conegeom import ConeSpace
 from .errors import InputError, InternalError
-from .rootsys import CartanType, RootSystem, build_root_system, grade_key
+from .rootsys import CartanType, Root, RootSystem, build_root_system, highest_root, highest_roots
 
 
 @dataclass(frozen=True)
@@ -39,41 +39,29 @@ class AffineData:
 def comarks(ctype: CartanType) -> AffineData:
     """Comarks of the untwisted affine algebra of a simple type."""
     rs = build_root_system(ctype)
-    return AffineData(ctype, _subsystem_comarks(rs, tuple(range(1, rs.rank + 1))))
+    return AffineData(ctype, _subsystem_comarks(rs, highest_root(rs)))
 
 
-def _subsystem_comarks(rs: RootSystem, nodes: tuple[int, ...]) -> tuple[int, ...]:
-    """Comark vector of the simple subsystem on a connected node subset.
+def _subsystem_comarks(rs: RootSystem, theta: Root) -> tuple[int, ...]:
+    """Comark vector of the simple subsystem whose highest root is theta.
 
-    The subsystem's positive roots are the positive roots supported in
-    the subset; its highest root theta gives comark_j =
-    m_j * d_j / d_theta where m is the simple-root expansion of theta
-    and d the symmetrizer (d_theta the half square length of theta in
-    the same normalization).  The affine node contributes comark 1.
+    The subsystem's nodes are the support of theta, and comark_j =
+    theta_j * d_j / d_theta there, with d the symmetrizer and d_theta the
+    half square length of theta in the same normalization.  The affine
+    node contributes comark 1.
     """
-    node_set = set(nodes)
-    outside = [i for i in range(1, rs.rank + 1) if i not in node_set]
-    sub = [g for g in rs.positive_roots if not any(g[i - 1] for i in outside)]
-    if not sub:
-        raise InternalError("empty root subsystem")
-    theta = max(sub, key=grade_key)
-    for g in sub:
-        if any(a < b for a, b in zip(theta, g)):
-            raise InternalError("node subset is not connected: no highest root in the subsystem")
     d = rs.symmetrizer
-    C = rs.cartan
-    norm = sum(
-        theta[i] * d[i] * C[i][j] * theta[j] for i in range(rs.rank) for j in range(rs.rank)
-    )
+    norm = sum(t * dt * sum(c * u for c, u in zip(row, theta)) for t, dt, row in zip(theta, d, rs.cartan))
     if norm <= 0 or norm % 2:
         raise InternalError(f"square length {norm} of the highest root is not a positive even integer")
     d_theta = norm // 2
     out = [1]
-    for j in sorted(node_set):
-        c = Fraction(theta[j - 1] * d[j - 1], d_theta)
-        if c.denominator != 1 or c < 1:
-            raise InternalError(f"comark {c} at node {j} is not a positive integer")
-        out.append(int(c))
+    for j, (t, dj) in enumerate(zip(theta, d), 1):
+        if t:
+            c, r = divmod(t * dj, d_theta)
+            if r or c < 1:
+                raise InternalError(f"comark {t * dj}/{d_theta} at node {j} is not a positive integer")
+            out.append(c)
     return tuple(out)
 
 
@@ -87,25 +75,6 @@ def level_weights(a: AffineData, level: int) -> list[tuple[int, ...]]:
     if level < 0:
         raise InputError(f"level must be >= 0, got {level}")
     return list(components.graded_solutions(a.comarks, level))
-
-
-def _marked_diagram_components(rs: RootSystem, alpha_p: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Connected components of the Dynkin subdiagram induced on the marked nodes."""
-    remaining = set(alpha_p)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            i = stack.pop()
-            for j in list(remaining - comp):
-                if rs.cartan[i - 1][j - 1] != 0:
-                    comp.add(j)
-                    stack.append(j)
-        comps.append(tuple(sorted(comp)))
-        remaining -= comp
-    return comps
 
 
 @dataclass(frozen=True)
@@ -138,8 +107,8 @@ def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:
     if any(l != 1 for l in cone.ell):
         raise InputError("the comparison is defined for the minimal ample embedding (all degrees 1)")
     rs = cone.parabolic.rs
-    comps = _marked_diagram_components(rs, cone.parabolic.alpha_p)
-    comark_vecs = [_subsystem_comarks(rs, comp) for comp in comps]
+    factors = highest_roots(rs, cone.parabolic.alpha_p)
+    comark_vecs = [_subsystem_comarks(rs, theta) for _, theta in factors]
     ne_count = components.count_solutions(cone.ell, degree)
     ir_count = components.count_solutions(tuple(c for vec in comark_vecs for c in vec), degree)
     return AffineComparison(
@@ -147,6 +116,6 @@ def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:
         ne_count,
         ir_count,
         ne_count == ir_count,
-        tuple(comps),
+        tuple(nodes for nodes, _ in factors),
         tuple(comark_vecs),
     )

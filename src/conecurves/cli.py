@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import islice
 
 from . import selfcheck
 from .affine import compare_ne_ir
@@ -34,6 +35,8 @@ from .rootsys import CartanType, build_root_system, highest_root, rho
 _MAX_DEGREE = 100_000
 # Largest number of classes (ne) or components (classify) one run may list.
 _MAX_CLASSES = 1_000_000
+# JSON encoder chunks joined into one stdout write by classify.
+_JSON_BATCH = 8192
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,7 +164,13 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.exclude_vertex_stratum:
         report = _strip_vertex_stratum(report)
     if args.format == "json":
-        print(json.dumps(report_to_dict(report), indent=2))
+        # Streamed so the whole document is never one string; the encoder
+        # yields one small chunk per token, so chunks are joined in batches
+        # to keep writes few when stdout is unbuffered (python -u).
+        chunks = json.JSONEncoder(indent=2).iterencode(report_to_dict(report))
+        while batch := "".join(islice(chunks, _JSON_BATCH)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     else:
         print("beta\talpha_prime\tvertex_multiplicity\trelative_degree\te\tdimension")
         for c in report.components:

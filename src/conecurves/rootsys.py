@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm, gcd
+from operator import gt
 
 from .errors import InputError, InternalError
 
@@ -38,9 +40,9 @@ Matrix = tuple[tuple[int, ...], ...]
 SERIES = "ABCDEFG"
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
-_MAX_RANK = {"E": 8, "F": 4, "G": 2}
-
-# Hard cap on generated positive roots; E8 has 120, the largest supported.
+# _MAX_ROOTS caps the generated positive roots; the classical maximal ranks
+# are the largest that fit it (A21 has 231, B15 and C15 225, D16 240).
+_MAX_RANK = {"A": 21, "B": 15, "C": 15, "D": 16, "E": 8, "F": 4, "G": 2}
 _MAX_ROOTS = 240
 _MAX_HEIGHT = 64
 
@@ -56,10 +58,10 @@ class CartanType:
         if self.series not in SERIES:
             raise InputError(f"unknown series {self.series!r}; expected one of {SERIES}")
         lo = _MIN_RANK[self.series]
-        hi = _MAX_RANK.get(self.series)
+        hi = _MAX_RANK[self.series]
         if self.rank < lo:
             raise InputError(f"rank {self.rank} too small for series {self.series} (minimum {lo})")
-        if hi is not None and self.rank > hi:
+        if self.rank > hi:
             raise InputError(f"rank {self.rank} invalid for series {self.series} (maximum {hi})")
 
     @classmethod
@@ -254,13 +256,41 @@ def rho(rs: RootSystem) -> Weight:
     return (1,) * rs.rank
 
 
+def highest_roots(rs: RootSystem, nodes: tuple[int, ...]) -> list[tuple[tuple[int, ...], Root]]:
+    """Components of the subdiagram on `nodes`, by smallest node, each with its highest root.
+
+    One downward pass over the positive roots.  A highest root dominates
+    every root of its component and is supported on all of it, so a root
+    whose support avoids the components found so far is the highest root
+    of a new component, its support.  Any other root supported on `nodes`
+    must lie in one component and be dominated by its highest root, or
+    InternalError is raised.
+    """
+    # owner[i]: index in `found` of node i+1's component, None while uncovered, -1 outside `nodes`.
+    owner: list[int | None] = [None if i in nodes else -1 for i in range(1, rs.rank + 1)]
+    found: list[tuple[tuple[int, ...], Root]] = []
+    for g in reversed(rs.positive_roots):
+        owners = set(compress(owner, g))
+        if -1 in owners:
+            continue
+        if owners == {None}:
+            support = tuple(i for i, c in enumerate(g, 1) if c)
+            for i in support:
+                owner[i - 1] = len(found)
+            found.append((support, g))
+        elif len(owners) > 1:
+            raise InternalError(f"root {g} straddles components of the subdiagram on nodes {sorted(nodes)}")
+        elif any(map(gt, g, theta := found[owners.pop()][1])):
+            raise InternalError(f"root {g} is not dominated by the highest root {theta} of its component")
+    return sorted(found)
+
+
 def highest_root(rs: RootSystem) -> Root:
     """The unique positive root that dominates all others coordinatewise."""
-    theta = max(rs.positive_roots, key=grade_key)
-    for g in rs.positive_roots:
-        if any(a < b for a, b in zip(theta, g)):
-            raise InternalError("no coordinatewise-maximal positive root found")
-    return theta
+    found = highest_roots(rs, tuple(range(1, rs.rank + 1)))
+    if len(found) != 1:
+        raise InternalError(f"Dynkin diagram has {len(found)} components; not a simple type")
+    return found[0][1]
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:

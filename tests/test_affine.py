@@ -1,12 +1,15 @@
 """Affine level combinatorics and the effective-class comparison diagnostic."""
 
-from itertools import product
+import hashlib
+from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
 from conecurves import (
     CartanType,
     InputError,
+    InternalError,
     build_cone,
     build_parabolic,
     build_root_system,
@@ -158,3 +161,38 @@ def test_compare_ne_ir_connected_marked_block():
     assert cmp.factor_comarks == ((1, 1, 1),)
     assert cmp.ne_count == 2
     assert cmp.ir_count == 3
+
+
+# sha256 over every nonempty marked-node subset of every type of rank <= 8
+# (2,465 subsets) of repr((type, subset, factor_nodes, factor_comarks)),
+# one line each, recorded before the factors and their highest roots were
+# taken from rootsys.highest_roots.
+FACTOR_DIGEST = "57efb13cb1988b457c04bd20ec291f6b4c434460eadb0931ac00f6040be02c14"
+RANK8_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_factors_and_comarks_of_every_marked_diagram_are_unchanged():
+    digest = hashlib.sha256()
+    subsets = 0
+    for name in RANK8_TYPES:
+        rs = build_root_system(CartanType.parse(name))
+        for k in range(1, rs.rank + 1):
+            for subset in combinations(range(1, rs.rank + 1), k):
+                p = build_parabolic(rs, subset)
+                cmp = compare_ne_ir(build_cone(p, minimal_ample(p), 1), 0)
+                digest.update(repr((name, subset, cmp.factor_nodes, cmp.factor_comarks)).encode() + b"\n")
+                subsets += 1
+    assert subsets == 2465
+    assert digest.hexdigest() == FACTOR_DIGEST
+
+
+def test_compare_ne_ir_rejects_a_non_integral_comark():
+    # With symmetrizer (1, 1) on B2 the highest root (1, 2) has half square
+    # length 2, so the comark at node 1 would be 1/2.
+    rs = replace(build_root_system(CartanType("B", 2)), symmetrizer=(1, 1))
+    p = build_parabolic(rs, (1, 2))
+    with pytest.raises(InternalError, match="comark 1/2 at node 1"):
+        compare_ne_ir(build_cone(p, minimal_ample(p), 1), 1)

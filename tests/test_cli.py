@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
@@ -284,6 +285,56 @@ def test_reader_closing_stdout_early_exits_0_quietly():
     assert first == b"ne 9,0,0,0,0,0,0,0\n"
     assert err == b""
     assert code == 0
+
+
+def test_classify_json_reader_closing_stdout_early_exits_0_quietly():
+    argv = ["classify", "--type", "E8", "--parabolic", "1,2,3,4,5,6,7,8", "--lambda", "min", "--vertex-dim", "1",
+            "--degree", "6"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "conecurves", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()  # the JSON report is about 420 KB, far more than a pipe buffer
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=60)
+    assert first == b"{\n"
+    assert err == b""
+    assert code == 0
+
+
+def test_classify_json_is_written_in_few_writes(monkeypatch):
+    # Under python -u every stdout write is a system call, and the encoder
+    # yields one chunk per token (about 64,000 for this report).
+    writes = []
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append, flush=lambda: None))
+    argv = ["classify", "--type", "E8", "--parabolic", "1,2,3,4,5,6,7,8", "--lambda", "min", "--vertex-dim", "1",
+            "--degree", "6"]
+    assert main(argv) == 0
+    assert len(writes) <= 10
+    assert json.loads("".join(writes))["count"] == 1716
+
+
+@pytest.mark.parametrize("name,count", [("A21", 231), ("B15", 225), ("C15", 225), ("D16", 240)])
+def test_roots_at_the_largest_classical_ranks(capsys, name, count):
+    code, out, err = run(capsys, ["roots", "--type", name])
+    assert code == 0
+    assert err == ""
+    assert f"count {count}" in out.splitlines()
+
+
+@pytest.mark.parametrize("name", ["A22", "B16", "C16", "D17", "A1000000000"])
+def test_roots_above_the_largest_classical_ranks_exit_2_at_once(capsys, name):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["roots", "--type", name])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "maximum" in err
+    assert err.count("\n") == 1
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Root-system kernel: counts, pairings, highest roots, Weyl dimensions."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -7,12 +8,14 @@ import pytest
 from conecurves import (
     CartanType,
     InputError,
+    InternalError,
     build_root_system,
     highest_root,
     pair,
     rho,
     weyl_dim,
 )
+from conecurves.rootsys import grade_key, highest_roots
 
 # Closed-form positive-root counts, frozen from the classical tables.
 POSITIVE_ROOT_COUNTS = {
@@ -23,6 +26,8 @@ POSITIVE_ROOT_COUNTS = {
     "E6": 36, "E7": 63, "E8": 120,
     "F4": 24,
     "G2": 6,
+    # The largest classical ranks admitted: their counts fit the generator's cap of 240.
+    "A21": 231, "B15": 225, "C15": 225, "D16": 240,
 }
 
 ALL_TYPES = sorted(POSITIVE_ROOT_COUNTS)
@@ -144,6 +149,57 @@ def test_highest_root_is_unique_string_top(name):
     assert tops == [highest_root(rs)]
 
 
+def test_highest_roots_split_subdiagrams():
+    d4 = build_root_system(CartanType("D", 4))
+    assert highest_roots(d4, (1, 3, 4)) == [((1,), (1, 0, 0, 0)), ((3,), (0, 0, 1, 0)), ((4,), (0, 0, 0, 1))]
+    assert highest_roots(d4, (4, 2, 1)) == [((1, 2, 4), (1, 1, 0, 1))]
+    e8 = build_root_system(CartanType("E", 8))
+    assert highest_roots(e8, (8, 6, 5, 3, 2, 1)) == [
+        ((1, 3), (1, 0, 1, 0, 0, 0, 0, 0)),
+        ((2,), (0, 1, 0, 0, 0, 0, 0, 0)),
+        ((5, 6), (0, 0, 0, 0, 1, 1, 0, 0)),
+        ((8,), (0, 0, 0, 0, 0, 0, 0, 1)),
+    ]
+    assert highest_roots(e8, ()) == []
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_highest_roots_on_all_nodes_is_the_highest_root(name):
+    rs = build_root_system(CartanType.parse(name))
+    nodes = tuple(range(1, rs.rank + 1))
+    assert highest_roots(rs, nodes) == [(nodes, highest_root(rs))]
+    assert highest_root(rs) == max(rs.positive_roots, key=grade_key)
+
+
+def _a2_with(extra):
+    a2 = build_root_system(CartanType("A", 2))
+    return replace(a2, positive_roots=tuple(sorted(a2.positive_roots + (extra,), key=grade_key)))
+
+
+def test_highest_roots_rejects_an_undominated_root():
+    rs = _a2_with((2, 0))
+    with pytest.raises(InternalError, match="not dominated"):
+        highest_roots(rs, (1, 2))
+    with pytest.raises(InternalError, match="not dominated"):
+        highest_root(rs)
+
+
+def test_highest_roots_rejects_a_root_straddling_two_components():
+    # (0, 2) is met first and claims node 2 alone, so (1, 1) spans two components.
+    rs = _a2_with((0, 2))
+    with pytest.raises(InternalError, match="straddles"):
+        highest_roots(rs, (1, 2))
+    assert highest_roots(rs, (2,)) == [((2,), (0, 2))]
+
+
+def test_highest_root_requires_a_connected_diagram():
+    a2 = build_root_system(CartanType("A", 2))
+    split = replace(a2, cartan=((2, 0), (0, 2)), positive_roots=((1, 0), (0, 1)))
+    assert highest_roots(split, (1, 2)) == [((1,), (1, 0)), ((2,), (0, 1))]
+    with pytest.raises(InternalError, match="2 components"):
+        highest_root(split)
+
+
 @pytest.mark.parametrize("name", types_up_to(4))
 def test_symmetrizer_makes_cartan_symmetric(name):
     rs = build_root_system(CartanType.parse(name))
@@ -201,7 +257,8 @@ def test_weyl_dim_rejects_non_dominant():
 def test_cartan_type_parse():
     assert CartanType.parse("a3") == CartanType("A", 3)
     assert CartanType.parse(" E6 ") == CartanType("E", 6)
-    for bad in ("Z9", "A0", "E5", "E9", "F5", "F3", "G3", "D2", "B1", "C1", "", "A", "Ax"):
+    for bad in ("Z9", "A0", "E5", "E9", "F5", "F3", "G3", "D2", "B1", "C1", "", "A", "Ax",
+                "A22", "B16", "C16", "D17", "A1000000000"):
         with pytest.raises(InputError):
             CartanType.parse(bad)
 
