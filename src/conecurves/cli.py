@@ -3,40 +3,45 @@
 Commands: roots, gp, ne, classify, affine-compare, selfcheck.
 Exit codes: 0 success, 2 invalid input, 3 internal inconsistency.
 All output is deterministic; classify emits JSON (default) or TSV.
-Integer arguments accept ASCII decimal digits only.  A reader that
-closes stdout early (`conecurves ne ... | head -1`) ends the run with
-exit code 0 and nothing on stderr: stdout is pointed at os.devnull so
-that the interpreter's final flush does not fail again.
+Integer arguments accept ASCII decimal digits only, at most
+rootsys._MAX_DIGITS of them.  A reader that closes stdout early
+(`conecurves ne ... | head -1`) ends the run with exit code 0 and
+nothing on stderr: stdout is pointed at os.devnull so that the
+interpreter's final flush does not fail again.
 
 The work of one run is bounded: ne, classify and affine-compare refuse a
 degree above _MAX_DEGREE while parsing, and ne and classify refuse, from
 the count alone and before enumerating, a request for more than
 _MAX_CLASSES classes or components (exit code 2).
+
+ne and classify stream their output: rows are laid out by hand and
+written _WRITE_BATCH at a time while the enumeration runs, so no list of
+rows or components is built and the writes stay few when stdout is
+unbuffered (python -u, PYTHONUNBUFFERED=1).  Writing starts before the last
+component's lift is checked, so on exit code 3 stdout may hold a
+truncated document.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import replace
-from itertools import islice
+from collections.abc import Iterator
 
-from . import selfcheck
 from .affine import compare_ne_ir
-from .components import ComponentReport, classify, count_components, count_solutions, ne
-from .conegeom import ConeSpace, build_cone
+from .components import ComponentReport, count_components, count_solutions, graded_solutions, iter_components
+from .conegeom import ConeSpace, build_cone, has_lines
 from .errors import InputError, InternalError
 from .parabolic import build_parabolic, kappa, minimal_ample, parse_alpha_p, parse_lambda
-from .rootsys import CartanType, build_root_system, highest_root, rho
+from .rootsys import _MAX_DIGITS, CartanType, build_root_system, highest_root, rho
 
 # Largest --degree accepted; the counts that gate enumeration take O(degree) steps.
 _MAX_DEGREE = 100_000
 # Largest number of classes (ne) or components (classify) one run may list.
 _MAX_CLASSES = 1_000_000
-# JSON encoder chunks joined into one stdout write by classify.
-_JSON_BATCH = 8192
+# Rows (classes or components) joined into one stdout write by ne and classify.
+_WRITE_BATCH = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,6 +56,8 @@ def _decimal(text: str) -> int:
     """argparse type for a nonnegative integer written in ASCII decimal digits."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
+    if len(text) > _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"{len(text)} digits, more than the limit {_MAX_DIGITS}")
     return int(text)
 
 
@@ -89,6 +96,11 @@ def _make_cone(args: argparse.Namespace) -> ConeSpace:
 
 
 def report_to_dict(report: ComponentReport) -> dict:
+    """The classify JSON document as plain data, for json.dumps(..., indent=2).
+
+    Independent oracle for the hand-laid writer of cmd_classify: tests
+    compare the writer's output with json.dumps of this dict.
+    """
     cone = report.cone
     return {
         "cone": {
@@ -107,7 +119,7 @@ def report_to_dict(report: ComponentReport) -> dict:
                 "alpha_prime": c.alpha_prime,
                 "vertex_multiplicity": c.vertex_multiplicity,
                 "relative_degree": c.tilde.relative_degree,
-                "e": c.vertex_multiplicity,  # classify checked it equal to e
+                "e": c.vertex_multiplicity,  # iter_components checked it equal to e
                 "dimension": c.dimension,
             }
             for c in report.components
@@ -117,10 +129,49 @@ def report_to_dict(report: ComponentReport) -> dict:
     }
 
 
-def _strip_vertex_stratum(report: ComponentReport) -> ComponentReport:
-    kept = tuple(c for c in report.components if any(c.beta.coeffs))
-    dims = {c.dimension for c in kept}
-    return replace(report, components=kept, equidimensional=len(dims) <= 1)
+def _write_rows(head: str, rows: Iterator[str], sep: str = "") -> int:
+    """Write head, then the rows joined by sep, one stdout write per _WRITE_BATCH rows.
+
+    rows must be an iterator, since each batch takes the next rows from
+    it.  head goes out with the first batch, or alone when there are no
+    rows.  Returns the number of rows.
+    """
+    count = 0
+    while batch := [row for _, row in zip(range(_WRITE_BATCH), rows)]:
+        sys.stdout.write(head + sep.join(batch))
+        head = sep
+        count += len(batch)
+    if not count:
+        sys.stdout.write(head)
+    return count
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Printed items as a JSON list in the json.dumps(indent=2) layout, items at `indent`."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(indent + item for item in items) + "\n" + indent[2:] + "]"
+
+
+def _json_head(cone: ConeSpace, degree: int, case: str) -> str:
+    """The classify document up to the opening bracket of "components"."""
+
+    def ints(values) -> str:
+        return _json_list([str(v) for v in values], " " * 6)
+
+    return (
+        '{\n  "cone": {\n'
+        f'    "type": "{cone.parabolic.rs.cartan_type}",\n'
+        f'    "parabolic": {ints(cone.parabolic.alpha_p)},\n'
+        f'    "lambda": {ints(_expanded_lambda(cone))},\n'
+        f'    "ell": {ints(cone.ell)},\n'
+        f'    "vertex_dim": {cone.vertex_dim},\n'
+        f'    "dim_x": {cone.dim_x}\n'
+        "  },\n"
+        f'  "total_degree": {degree},\n'
+        f'  "case": "{case}",\n'
+        '  "components": ['
+    )
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
@@ -150,32 +201,48 @@ def cmd_gp(args: argparse.Namespace) -> int:
 def cmd_ne(args: argparse.Namespace) -> int:
     cone = _make_cone(args)
     _check_size(count_solutions(cone.ell, args.degree), "effective classes")
-    classes = ne(cone, args.degree)
-    for beta in classes:
-        print(f"ne {_fmt(beta.coeffs)}")
-    print(f"count {len(classes)}")
+    row = "ne " + ",".join(["%d"] * len(cone.ell)) + "\n"
+    count = _write_rows("", map(row.__mod__, graded_solutions(cone.ell, args.degree)))
+    sys.stdout.write(f"count {count}\n")
     return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     cone = _make_cone(args)
     _check_size(count_components(cone, args.degree), "components")
-    report = classify(cone, args.degree)
+    components = iter_components(cone, args.degree)
     if args.exclude_vertex_stratum:
-        report = _strip_vertex_stratum(report)
-    if args.format == "json":
-        # Streamed so the whole document is never one string; the encoder
-        # yields one small chunk per token, so chunks are joined in batches
-        # to keep writes few when stdout is unbuffered (python -u).
-        chunks = json.JSONEncoder(indent=2).iterencode(report_to_dict(report))
-        while batch := "".join(islice(chunks, _JSON_BATCH)):
-            sys.stdout.write(batch)
-        sys.stdout.write("\n")
-    else:
-        print("beta\talpha_prime\tvertex_multiplicity\trelative_degree\te\tdimension")
-        for c in report.components:
-            m = c.vertex_multiplicity  # classify checked it equal to e
-            print(f"{_fmt(c.beta.coeffs)}\t{c.alpha_prime}\t{m}\t{c.tilde.relative_degree}\t{m}\t{c.dimension}")
+        components = (c for c in components if any(c.beta.coeffs))
+    dims: set[int] = set()
+
+    def fields() -> Iterator[tuple[int, ...]]:
+        for c in components:
+            dims.add(c.dimension)
+            m = c.vertex_multiplicity  # iter_components checked it equal to e
+            yield (*c.beta.coeffs, c.alpha_prime, m, c.tilde.relative_degree, m, c.dimension)
+
+    beta_slots = ["%d"] * len(cone.ell)
+    if args.format == "tsv":
+        head = "beta\talpha_prime\tvertex_multiplicity\trelative_degree\te\tdimension\n"
+        row = ",".join(beta_slots) + "\t%d\t%d\t%d\t%d\t%d\n"
+        _write_rows(head, map(row.__mod__, fields()))
+        return 0
+    row = (
+        "\n    {\n"
+        f'      "beta": {_json_list(beta_slots, " " * 8)},\n'
+        '      "alpha_prime": %d,\n'
+        '      "vertex_multiplicity": %d,\n'
+        '      "relative_degree": %d,\n'
+        '      "e": %d,\n'
+        '      "dimension": %d\n'
+        "    }"
+    )
+    head = _json_head(cone, args.degree, "lines" if has_lines(cone) else "no_lines")
+    count = _write_rows(head, map(row.__mod__, fields()), ",")
+    sys.stdout.write(
+        ("\n  ]" if count else "]")
+        + f',\n  "count": {count},\n  "equidimensional": {"true" if len(dims) <= 1 else "false"}\n}}\n'
+    )
     return 0
 
 
@@ -195,6 +262,8 @@ def cmd_affine_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
+    from . import selfcheck  # only this command needs it; keeps start-up short
+
     results = selfcheck.run_all()
     for r in results:
         print(f"{r.name}: {r.checks} checks, {len(r.failures)} failures")

@@ -12,7 +12,9 @@ component dimension is
     <beta, chern - ell> + (n + 1) * d + dim_x,
 
 which is cross-checked on every descriptor against the morphism-space
-dimension of the lifted class on the resolution.
+dimension of the lifted class on the resolution.  iter_components
+yields the checked descriptors stratum by stratum, so a writer can
+stream them; classify is the tuple of it.
 
 Index sets come from one enumerator, graded_solutions, which emits the
 vectors of a fixed weighted degree already in grade_key order (ascending
@@ -187,27 +189,28 @@ def total_degree(cone: ConeSpace, beta: EffectiveClass) -> int:
     return base_degree(cone, beta.coeffs)
 
 
-def classify(cone: ConeSpace, degree: int) -> ComponentReport:
-    """Classify the irreducible components of the degree-`degree` curve space.
+def iter_components(cone: ConeSpace, degree: int) -> Iterator[ComponentDescriptor]:
+    """The components of the degree-`degree` curve space, one at a time.
 
-    Each descriptor carries the lift of its generic curve to the
-    resolution: relative degree (n+1)*multiplicity + n*d', so the
-    exceptional intersection equals the vertex multiplicity.  From one
-    conegeom.lift call per component, every lift is checked to have e
-    equal to the multiplicity, to be nonempty, to give the same
+    Strata come in order of decreasing d' (one stratum d' = degree with
+    lines), each listed by one call to ne, so memory is that of the
+    largest stratum rather than of the whole list.  Each descriptor
+    carries the lift of its generic curve to the resolution: relative
+    degree (n+1)*multiplicity + n*d', so the exceptional intersection
+    equals the vertex multiplicity.  From one conegeom.lift call per
+    component, every lift is checked, before the component is yielded, to
+    have e equal to the multiplicity, to be nonempty, to give the same
     morphism-space dimension by both routes, and to reproduce the stated
     dimension; a failure raises InternalError.
     """
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
-    lines = has_lines(cone)
-    if lines:
+    if has_lines(cone):
         strata = [(degree, 0)]
     else:
         strata = [(dp, degree - dp) for dp in range(degree, -1, -1)]
     n = cone.vertex_dim
     top = (n + 1) * degree + cone.dim_x
-    descriptors: list[ComponentDescriptor] = []
     for alpha_prime, mult in strata:
         rel = (n + 1) * mult + n * alpha_prime
         for beta in ne(cone, alpha_prime):
@@ -224,14 +227,22 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
                 raise InternalError(
                     f"component dimension {dim} disagrees with the lifted morphism space for {tilde}"
                 )
-            descriptors.append(ComponentDescriptor(beta, alpha_prime, mult, tilde, dim))
-    dims = {d.dimension for d in descriptors}
+            yield ComponentDescriptor(beta, alpha_prime, mult, tilde, dim)
+
+
+def classify(cone: ConeSpace, degree: int) -> ComponentReport:
+    """Classify the irreducible components of the degree-`degree` curve space.
+
+    The components are those of iter_components, with every lift
+    checked; equidimensional says whether they share one dimension.
+    """
+    components = tuple(iter_components(cone, degree))
     return ComponentReport(
         cone,
         degree,
-        "lines" if lines else "no_lines",
-        tuple(descriptors),
-        len(dims) <= 1,
+        "lines" if has_lines(cone) else "no_lines",
+        components,
+        len({c.dimension for c in components}) <= 1,
     )
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .rootsys import Root, RootSystem, Weight, pair
+from .rootsys import _MAX_DIGITS, Root, RootSystem, Weight, pair
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,8 @@ def _parse_decimal(part: str, what: str) -> int:
     p = part.strip()
     if not (p.isascii() and p.isdigit()):
         raise InputError(f"bad {what} {p!r}; expected ASCII decimal digits")
+    if len(p) > _MAX_DIGITS:
+        raise InputError(f"{what} has {len(p)} digits, more than the limit {_MAX_DIGITS}")
     return int(p)
 
 

@@ -45,6 +45,9 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 _MAX_RANK = {"A": 21, "B": 15, "C": 15, "D": 16, "E": 8, "F": 4, "G": 2}
 _MAX_ROOTS = 240
 _MAX_HEIGHT = 64
+# Longest decimal field a parser converts: int() refuses strings of more
+# than 4,300 digits, and no admissible rank, node or weight needs many.
+_MAX_DIGITS = 100
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,8 @@ class CartanType:
         digits = s[1:]
         if not (digits.isascii() and digits.isdigit()):
             raise InputError(f"cannot parse rank in {text!r}; expected ASCII decimal digits")
+        if len(digits) > _MAX_DIGITS:
+            raise InputError(f"rank has {len(digits)} digits, more than the limit {_MAX_DIGITS}")
         return cls(series, int(digits))
 
     def __str__(self) -> str:

@@ -363,6 +363,25 @@ def test_non_decimal_or_repeated_input_exits_2(capsys, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roots", "--type", "A" + "9" * 5000],
+        ["gp", "--type", "A3", "--parabolic", "9" * 5000],
+        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "9" * 5000, "--vertex-dim", "1", "--degree", "1"],
+        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "2", "--vertex-dim", "9" * 5000, "--degree", "1"],
+    ],
+    ids=["roots-type", "gp-parabolic", "classify-lambda", "classify-vertex-dim"],
+)
+def test_integer_longer_than_the_digit_limit_exits_2(capsys, argv):
+    # int() itself refuses more than 4,300 digits with a ValueError.
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "5000 digits, more than the limit" in err
+    assert err.count("\n") == 1
+
+
 E8_FLAG = ["--type", "E8", "--parabolic", "1,2,3,4,5,6,7,8", "--vertex-dim", "1"]
 
 

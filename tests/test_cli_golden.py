@@ -2,7 +2,9 @@
 
 Each hash is the sha256 of the command's stdout as recorded before the
 classify hot path was rebuilt around conegeom.lift and the graded
-enumerator; a changed hash means the printed output changed.
+enumerator; a changed hash means the printed output changed.  The
+STREAMED hashes were recorded before classify, ne and TSV output were
+streamed through hand-laid, batched writers.
 """
 
 import hashlib
@@ -47,7 +49,37 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", GOLDEN, ids=[" ".join(a[:3]) for a, _ in GOLDEN])
+STREAMED = [
+    (
+        "classify tsv E8 flag d=8",
+        ["classify", "--format", "tsv", *E8_FLAG, "--vertex-dim", "1", "--degree", "8"],
+        "679cad2732f35bb1ac234e6073777bbde09ebbe5962deea244daf65cb0841891",
+    ),
+    (
+        "classify json exclude-vertex E8 ell=2 n=2 d=12",
+        ["classify", "--exclude-vertex-stratum", "--type", "E8", "--parabolic", "1,2,3,4,5,6,7,8",
+         "--lambda", "2,2,2,2,2,2,2,2", "--vertex-dim", "2", "--degree", "12"],
+        "f11c4e7436f658558313599af88c7f0fda8f90d2ccae0ba5cb029026044cf95e",
+    ),
+    (
+        "classify json empty components",
+        ["classify", "--exclude-vertex-stratum", "--type", "A1", "--parabolic", "1", "--lambda", "2",
+         "--vertex-dim", "1", "--degree", "0"],
+        "71d52607e34c469e6e424658855e56065c4aacc7f2ab7210977b402ed3c1551d",
+    ),
+    (
+        "ne E8 flag d=10",
+        ["ne", *E8_FLAG, "--vertex-dim", "1", "--degree", "10"],
+        "a1baab0e470029a730cfe72ca04951a99bd0a334a57b237f7ce58940d3edc9e0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [pytest.param(a, h, id=" ".join(a[:3])) for a, h in GOLDEN]
+    + [pytest.param(a, h, id=name) for name, a, h in STREAMED],
+)
 def test_stdout_hash_unchanged(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
