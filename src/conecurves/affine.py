@@ -10,7 +10,8 @@ compare_ne_ir sets those weight counts, taken over the simple factors
 of the Picard lattice of the base (the connected components of the
 marked subdiagram), side by side with the count of effective classes of
 a given degree under the minimal ample embedding; the factors and their
-highest roots come from rootsys.highest_roots.  It is a diagnostic:
+comarks are read from the parabolic, which computes them once with
+rootsys.highest_roots and rootsys.subsystem_comarks.  It is a diagnostic:
 both counts are reported and equality is never assumed.  Each count is
 one generating-function coefficient from components.count_solutions:
 the weight count summed over all splittings of the degree among the
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 
 from . import components
 from .conegeom import ConeSpace
-from .errors import InputError, InternalError
-from .rootsys import CartanType, Root, RootSystem, build_root_system, highest_root, highest_roots
+from .errors import InputError
+from .rootsys import CartanType, build_root_system, highest_root, subsystem_comarks
 
 
 @dataclass(frozen=True)
@@ -39,30 +40,7 @@ class AffineData:
 def comarks(ctype: CartanType) -> AffineData:
     """Comarks of the untwisted affine algebra of a simple type."""
     rs = build_root_system(ctype)
-    return AffineData(ctype, _subsystem_comarks(rs, highest_root(rs)))
-
-
-def _subsystem_comarks(rs: RootSystem, theta: Root) -> tuple[int, ...]:
-    """Comark vector of the simple subsystem whose highest root is theta.
-
-    The subsystem's nodes are the support of theta, and comark_j =
-    theta_j * d_j / d_theta there, with d the symmetrizer and d_theta the
-    half square length of theta in the same normalization.  The affine
-    node contributes comark 1.
-    """
-    d = rs.symmetrizer
-    norm = sum(t * dt * sum(c * u for c, u in zip(row, theta)) for t, dt, row in zip(theta, d, rs.cartan))
-    if norm <= 0 or norm % 2:
-        raise InternalError(f"square length {norm} of the highest root is not a positive even integer")
-    d_theta = norm // 2
-    out = [1]
-    for j, (t, dj) in enumerate(zip(theta, d), 1):
-        if t:
-            c, r = divmod(t * dj, d_theta)
-            if r or c < 1:
-                raise InternalError(f"comark {t * dj}/{d_theta} at node {j} is not a positive integer")
-            out.append(c)
-    return tuple(out)
+    return AffineData(ctype, subsystem_comarks(rs, highest_root(rs)))
 
 
 def level_weights(a: AffineData, level: int) -> list[tuple[int, ...]]:
@@ -106,16 +84,14 @@ def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:
         raise InputError(f"degree must be >= 0, got {degree}")
     if any(l != 1 for l in cone.ell):
         raise InputError("the comparison is defined for the minimal ample embedding (all degrees 1)")
-    rs = cone.parabolic.rs
-    factors = highest_roots(rs, cone.parabolic.alpha_p)
-    comark_vecs = [_subsystem_comarks(rs, theta) for _, theta in factors]
+    factors = cone.parabolic.factors
     ne_count = components.count_solutions(cone.ell, degree)
-    ir_count = components.count_solutions(tuple(c for vec in comark_vecs for c in vec), degree)
+    ir_count = components.count_solutions(tuple(c for _, vec in factors for c in vec), degree)
     return AffineComparison(
         degree,
         ne_count,
         ir_count,
         ne_count == ir_count,
         tuple(nodes for nodes, _ in factors),
-        tuple(comark_vecs),
+        tuple(vec for _, vec in factors),
     )

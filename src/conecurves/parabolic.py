@@ -7,15 +7,18 @@ set indexes the Picard lattice of G/P.  The nilradical consists of the
 positive roots whose support meets the marked set; its size is
 dim(G/P), and pairing the i-th marked coroot with the sum of nilradical
 roots gives the degree c_i of the anticanonical class on the dual curve
-class (the Fano index data of G/P).
+class (the Fano index data of G/P).  The connected components of the
+marked subdiagram are the simple factors of the Picard lattice; each
+parabolic computes them and their comarks once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
-from .rootsys import _MAX_DIGITS, Root, RootSystem, Weight, pair
+from .rootsys import _MAX_DIGITS, Root, RootSystem, Weight, highest_roots, pair, subsystem_comarks
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,18 @@ class ParabolicData:
     nilradical: tuple[Root, ...]
     chern_degrees: tuple[int, ...]
     dim_gp: int
+
+    @cached_property
+    def factors(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Components of the marked subdiagram, by smallest node, each with its comark vector.
+
+        Computed on first use from the components' highest roots and kept
+        with this parabolic; it is not a field, so equality, hashing and
+        repr ignore it.  An InternalError from the comark checks is
+        raised again on every use, never kept.
+        """
+        rs = self.rs
+        return tuple((nodes, subsystem_comarks(rs, theta)) for nodes, theta in highest_roots(rs, self.alpha_p))
 
 
 def build_parabolic(rs: RootSystem, alpha_p) -> ParabolicData:

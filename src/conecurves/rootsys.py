@@ -26,7 +26,6 @@ Everything is exact integer arithmetic; nothing here is floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from math import lcm, gcd
 from operator import gt
@@ -173,28 +172,35 @@ def _validate_cartan(C: Matrix) -> None:
 
 
 def _symmetrizer(C: Matrix) -> tuple[int, ...]:
-    """Minimal positive integers d with d_i * C[i][j] = d_j * C[j][i]."""
+    """Minimal positive integers d with d_i * C[i][j] = d_j * C[j][i].
+
+    d is spread from node 1 along the edges as reduced integer ratios
+    num_j / den_j with den_j > 0, using d_j = d_i * C[i][j] / C[j][i],
+    and the denominators are cleared at the end.
+    """
     n = len(C)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
+    num: list[int | None] = [None] * n
+    den = [1] * n
+    num[0] = 1
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(n):
-            if j != i and C[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * C[i][j] / C[j][i]
+            if j != i and C[i][j] != 0 and num[j] is None:
+                a, b = num[i] * C[i][j], den[i] * C[j][i]
+                g = gcd(a, b) if b > 0 else -gcd(a, b)
+                num[j], den[j] = a // g, b // g
                 stack.append(j)
-    if any(v is None for v in d):
+    if None in num:
         raise InternalError("Dynkin diagram is disconnected; not a simple type")
-    vals = [v for v in d if v is not None]
     for i in range(n):
         for j in range(n):
-            if vals[i] * C[i][j] != vals[j] * C[j][i]:
+            if num[i] * den[j] * C[i][j] != num[j] * den[i] * C[j][i]:
                 raise InternalError("Cartan matrix is not symmetrizable")
-    if any(v <= 0 for v in vals):
+    if any(v <= 0 for v in num):
         raise InternalError("symmetrizer is not positive; invalid Cartan data")
-    scale = lcm(*(v.denominator for v in vals))
-    ints = [int(v * scale) for v in vals]
+    scale = lcm(*den)
+    ints = [v * (scale // q) for v, q in zip(num, den)]
     g = gcd(*ints)
     return tuple(v // g for v in ints)
 
@@ -296,6 +302,29 @@ def highest_root(rs: RootSystem) -> Root:
     if len(found) != 1:
         raise InternalError(f"Dynkin diagram has {len(found)} components; not a simple type")
     return found[0][1]
+
+
+def subsystem_comarks(rs: RootSystem, theta: Root) -> tuple[int, ...]:
+    """Comark vector of the simple subsystem whose highest root is theta.
+
+    The subsystem's nodes are the support of theta, and comark_j =
+    theta_j * d_j / d_theta there, with d the symmetrizer and d_theta the
+    half square length of theta in the same normalization.  The affine
+    node contributes comark 1.
+    """
+    d = rs.symmetrizer
+    norm = sum(t * dt * sum(c * u for c, u in zip(row, theta)) for t, dt, row in zip(theta, d, rs.cartan))
+    if norm <= 0 or norm % 2:
+        raise InternalError(f"square length {norm} of the highest root is not a positive even integer")
+    d_theta = norm // 2
+    out = [1]
+    for j, (t, dj) in enumerate(zip(theta, d), 1):
+        if t:
+            c, r = divmod(t * dj, d_theta)
+            if r or c < 1:
+                raise InternalError(f"comark {t * dj}/{d_theta} at node {j} is not a positive integer")
+            out.append(c)
+    return tuple(out)
 
 
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:

@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+from conecurves import parabolic
 from conecurves import (
     CartanType,
     InputError,
@@ -191,8 +192,53 @@ def test_factors_and_comarks_of_every_marked_diagram_are_unchanged():
 
 def test_compare_ne_ir_rejects_a_non_integral_comark():
     # With symmetrizer (1, 1) on B2 the highest root (1, 2) has half square
-    # length 2, so the comark at node 1 would be 1/2.
+    # length 2, so the comark at node 1 would be 1/2.  The error is not
+    # cached: the second call raises it again.
     rs = replace(build_root_system(CartanType("B", 2)), symmetrizer=(1, 1))
     p = build_parabolic(rs, (1, 2))
+    cone = build_cone(p, minimal_ample(p), 1)
+    for _ in range(2):
+        with pytest.raises(InternalError, match="comark 1/2 at node 1"):
+            compare_ne_ir(cone, 1)
+
+
+def count_highest_roots_calls(monkeypatch):
+    calls = []
+    original = parabolic.highest_roots
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(parabolic, "highest_roots", counted)
+    return calls
+
+
+def test_compare_ne_ir_computes_the_factors_once_per_parabolic(monkeypatch):
+    calls = count_highest_roots_calls(monkeypatch)
+    rs = build_root_system(CartanType("A", 4))
+    p = build_parabolic(rs, (1, 3, 4))
+    cone = build_cone(p, minimal_ample(p), 1)
+    results = [compare_ne_ir(cone, d) for d in range(11)]
+    assert len(calls) == 1
+    assert {(c.factor_nodes, c.factor_comarks) for c in results} == {(((1,), (3, 4)), ((1, 1), (1, 1, 1)))}
+    # The filled cache is not a field: the parabolic still equals, hashes
+    # and prints like a freshly built one.
+    fresh = build_parabolic(rs, (1, 3, 4))
+    assert "factors" in vars(p) and "factors" not in vars(fresh)
+    assert p == fresh
+    assert hash(p) == hash(fresh)
+    assert repr(p) == repr(fresh)
+
+
+def test_replaced_parabolic_computes_its_factors_again(monkeypatch):
+    calls = count_highest_roots_calls(monkeypatch)
+    rs = build_root_system(CartanType("B", 2))
+    p = build_parabolic(rs, (1, 2))
+    assert p.factors == (((1, 2), (1, 1, 1)),)
+    bad = replace(p, rs=replace(rs, symmetrizer=(1, 1)))
     with pytest.raises(InternalError, match="comark 1/2 at node 1"):
-        compare_ne_ir(build_cone(p, minimal_ample(p), 1), 1)
+        bad.factors
+    assert len(calls) == 2
+    assert p.factors == (((1, 2), (1, 1, 1)),)
+    assert len(calls) == 2

@@ -116,7 +116,10 @@ def test_streamed_output_memory_barely_grows_with_the_degree():
 
 
 def test_cli_import_leaves_selfcheck_and_json_unloaded():
-    probe = "import sys, conecurves.cli; print(sorted({'json', 'conecurves.selfcheck'} & set(sys.modules)))"
+    probe = (
+        "import sys, conecurves.cli; "
+        "print(sorted({'json', 'conecurves.selfcheck', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "[]\n"

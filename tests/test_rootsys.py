@@ -15,7 +15,7 @@ from conecurves import (
     rho,
     weyl_dim,
 )
-from conecurves.rootsys import grade_key, highest_roots
+from conecurves.rootsys import _MAX_RANK, _MIN_RANK, _symmetrizer, grade_key, highest_roots
 
 # Closed-form positive-root counts, frozen from the classical tables.
 POSITIVE_ROOT_COUNTS = {
@@ -217,6 +217,35 @@ def test_symmetrizer_frozen_examples():
     assert build_root_system(CartanType("C", 3)).symmetrizer == (1, 1, 2)
     assert build_root_system(CartanType("F", 4)).symmetrizer == (2, 2, 1, 1)
     assert build_root_system(CartanType("G", 2)).symmetrizer == (1, 3)
+
+
+ADMITTED_TYPES = [f"{s}{n}" for s in "ABCDEFG" for n in range(_MIN_RANK[s], _MAX_RANK[s] + 1)]
+
+
+@pytest.mark.parametrize("name", ADMITTED_TYPES)
+def test_symmetrizer_of_every_admitted_type(name):
+    # Long roots get 2 (B, F) or 3 (G), short roots 1; simply laced types are all 1.
+    n = int(name[1:])
+    want = {
+        "B": (2,) * (n - 1) + (1,),
+        "C": (1,) * (n - 1) + (2,),
+        "F": (2, 2, 1, 1),
+        "G": (1, 3),
+    }.get(name[0], (1,) * n)
+    assert build_root_system(CartanType.parse(name)).symmetrizer == want
+
+
+@pytest.mark.parametrize(
+    "cartan, message",
+    [
+        (((2, 0), (0, 2)), "disconnected"),
+        (((2, -1, -1), (-2, 2, -1), (-1, -1, 2)), "not symmetrizable"),
+        (((2, 1), (-1, 2)), "not positive"),
+    ],
+)
+def test_symmetrizer_rejects_invalid_cartan_data(cartan, message):
+    with pytest.raises(InternalError, match=message):
+        _symmetrizer(cartan)
 
 
 def test_weyl_dim_a1_oracle():
