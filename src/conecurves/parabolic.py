@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import InputError
 from .rootsys import _MAX_DIGITS, Root, RootSystem, Weight, highest_roots, pair, subsystem_comarks
@@ -53,11 +54,14 @@ def build_parabolic(rs: RootSystem, alpha_p) -> ParabolicData:
     marked = tuple(sorted(set(alpha_p)))
     if not marked:
         raise InputError("alpha(p) must be nonempty: the base variety must have positive dimension")
+    mask = [False] * rs.rank
     for i in marked:
         if not 1 <= i <= rs.rank:
             raise InputError(f"parabolic index {i} out of range 1..{rs.rank}")
-    nil = tuple(g for g in rs.positive_roots if any(g[i - 1] for i in marked))
-    chern = tuple(sum(pair(rs, i, g) for g in nil) for i in marked)
+        mask[i - 1] = True
+    nil = tuple(g for g in rs.positive_roots if any(compress(g, mask)))
+    total = tuple(map(sum, zip(*nil)))
+    chern = tuple(pair(rs, i, total) for i in marked)
     return ParabolicData(rs, marked, nil, chern, len(nil))
 
 
@@ -86,14 +90,16 @@ def validate_ample(p: ParabolicData, lam: Weight) -> tuple[int, ...]:
     """
     if len(lam) != p.rs.rank:
         raise InputError(f"lambda has {len(lam)} coordinates, expected {p.rs.rank}")
-    marked = set(p.alpha_p)
-    for i in range(1, p.rs.rank + 1):
-        v = lam[i - 1]
-        if i in marked and v < 1:
-            raise InputError(f"lambda[{i}] = {v}: coordinates on alpha(p) must be >= 1 for an ample class")
-        if i not in marked and v != 0:
+    marked = p.alpha_p
+    degrees = []
+    for i, v in enumerate(lam, 1):
+        if i in marked:
+            if v < 1:
+                raise InputError(f"lambda[{i}] = {v}: coordinates on alpha(p) must be >= 1 for an ample class")
+            degrees.append(v)
+        elif v != 0:
             raise InputError(f"lambda[{i}] = {v}: coordinates off alpha(p) must be 0")
-    return tuple(lam[i - 1] for i in p.alpha_p)
+    return tuple(degrees)
 
 
 def _parse_decimal(part: str, what: str) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import lcm, gcd
-from operator import gt
+from operator import add, gt
 
 from .errors import InputError, InternalError
 
@@ -211,12 +211,17 @@ def _generate_positive_roots(C: Matrix) -> tuple[Root, ...]:
     For a known root g and simple root alpha_i, let p be the number of
     consecutive steps g - alpha_i, g - 2 alpha_i, ... that stay roots;
     then g + alpha_i is a root iff p - <alpha_i^vee, g> > 0.  Working
-    upward by height, every root is reached.
+    upward by height, every root is reached.  Each root is kept with its
+    pairings <alpha_j^vee, g> for every j: g + alpha_i pairs as g plus
+    column i of the Cartan matrix, so the test reads one entry q, and
+    the walk down stops as soon as p > q is decided (after at most q + 1
+    steps, none when q < 0).
     """
     n = len(C)
+    columns = tuple(zip(*C))
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots: set[Root] = set(simples)
-    frontier: list[Root] = list(simples)
+    pairings: dict[Root, tuple[int, ...]] = dict(zip(simples, columns))
+    frontier: list[Root] = simples
     height = 1
     while frontier:
         height += 1
@@ -224,23 +229,22 @@ def _generate_positive_roots(C: Matrix) -> tuple[Root, ...]:
             raise InternalError("root generation did not terminate; invalid Cartan data")
         grown: list[Root] = []
         for g in frontier:
-            for i in range(n):
-                p = 0
+            gp = pairings[g]
+            for i, q in enumerate(gp):
                 down = list(g)
-                down[i] -= 1
-                while tuple(down) in roots:
-                    p += 1
+                for _ in range(q + 1):
                     down[i] -= 1
-                pairing = sum(C[i][j] * g[j] for j in range(n))
-                if p - pairing > 0:
-                    up = tuple(c + (1 if j == i else 0) for j, c in enumerate(g))
-                    if up not in roots:
-                        roots.add(up)
+                    if tuple(down) not in pairings:
+                        break
+                else:
+                    up = g[:i] + (g[i] + 1,) + g[i + 1:]
+                    if up not in pairings:
+                        pairings[up] = tuple(map(add, gp, columns[i]))
                         grown.append(up)
-        if len(roots) > _MAX_ROOTS:
+        if len(pairings) > _MAX_ROOTS:
             raise InternalError("too many positive roots generated; invalid Cartan data")
         frontier = grown
-    return tuple(sorted(roots, key=grade_key))
+    return tuple(sorted(pairings, key=grade_key))
 
 
 def build_root_system(ctype: CartanType) -> RootSystem:

@@ -1,5 +1,6 @@
 """Parabolic data: nilradical, anticanonical degrees, ample validation."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from conecurves import (
     build_root_system,
     kappa,
     minimal_ample,
+    pair,
     validate_ample,
 )
 from conecurves.parabolic import parse_alpha_p, parse_lambda
@@ -98,6 +100,22 @@ def test_validate_ample_rejects_off_facet():
     assert "lambda[1]" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "lam, message",
+    [
+        # Both coordinates are bad; the first in node order is named.
+        ((0, 1), "lambda[1] = 0: coordinates on alpha(p) must be >= 1 for an ample class"),
+        ((1, 3), "lambda[2] = 3: coordinates off alpha(p) must be 0"),
+        ((1, 0, 0), "lambda has 3 coordinates, expected 2"),
+    ],
+)
+def test_validate_ample_error_messages(lam, message):
+    p = build_parabolic(build_root_system(CartanType("A", 2)), (1,))
+    with pytest.raises(InputError) as err:
+        validate_ample(p, lam)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("name", RANK4_TYPES)
 def test_full_flag_chern_degrees_all_two(name):
     rs = build_root_system(CartanType.parse(name))
@@ -115,6 +133,70 @@ def test_chern_degrees_at_least_two(name):
         p = build_parabolic(rs, subset)
         assert all(c >= 2 for c in p.chern_degrees), (name, subset, p.chern_degrees)
         assert p.dim_gp == len(p.nilradical) > 0
+
+
+# Fano data of G/P for maximal parabolics: (type, marked node, index c, dim G/P).
+# Classical values, e.g. Gr(2,5) has index 5, the quadric Q^7 = B4/1 index 7,
+# the Cayley plane E6/1 index 12 and the Freudenthal variety E7/7 index 18.
+MAXIMAL_PARABOLIC_FANO_DATA = [
+    ("A4", 2, 5, 6),
+    ("B4", 1, 7, 7),
+    ("B4", 4, 8, 10),
+    ("C4", 1, 8, 7),
+    ("C4", 4, 5, 10),
+    ("D5", 1, 8, 8),
+    ("D5", 5, 8, 10),
+    ("E6", 1, 12, 16),
+    ("E6", 2, 11, 21),
+    ("E7", 7, 18, 27),
+    ("E7", 1, 17, 33),
+    ("E8", 8, 29, 57),
+    ("E8", 1, 23, 78),
+    ("F4", 1, 8, 15),
+    ("F4", 4, 11, 15),
+    ("G2", 1, 5, 5),
+    ("G2", 2, 3, 5),
+]
+
+
+@pytest.mark.parametrize("name, node, chern, dim_gp", MAXIMAL_PARABOLIC_FANO_DATA)
+def test_maximal_parabolic_fano_index_and_dimension(name, node, chern, dim_gp):
+    p = build_parabolic(build_root_system(CartanType.parse(name)), (node,))
+    assert (p.chern_degrees, p.dim_gp) == ((chern,), dim_gp)
+
+
+@pytest.mark.parametrize("name", RANK4_TYPES)
+def test_chern_degrees_match_per_root_pairing_oracle(name):
+    # Independent oracle: pair each marked coroot with every nilradical
+    # root one at a time and add the pairings, rather than pairing once
+    # with the summed nilradical.
+    rs = build_root_system(CartanType.parse(name))
+    for subset in nonempty_subsets(rs.rank):
+        p = build_parabolic(rs, subset)
+        assert p.chern_degrees == tuple(sum(pair(rs, i, g) for g in p.nilradical) for i in subset)
+
+
+# sha256 over repr((type, subset, nilradical, chern_degrees, dim_gp)) lines for
+# every nonempty marked diagram of every type of rank <= 8, recorded before
+# the Chern degrees were taken from the summed nilradical.
+PARABOLIC_DIGEST = "39590b7b70c21ead9a0fe72b6c6f051a73934787658caf1a61f75ba58ec5d825"
+RANK8_TYPES = (
+    [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_parabolics_of_every_marked_diagram_are_unchanged():
+    digest = hashlib.sha256()
+    subsets = 0
+    for name in RANK8_TYPES:
+        rs = build_root_system(CartanType.parse(name))
+        for subset in nonempty_subsets(rs.rank):
+            p = build_parabolic(rs, subset)
+            digest.update(repr((name, subset, p.nilradical, p.chern_degrees, p.dim_gp)).encode() + b"\n")
+            subsets += 1
+    assert subsets == 2465
+    assert digest.hexdigest() == PARABOLIC_DIGEST
 
 
 @pytest.mark.parametrize("n", range(1, 7))

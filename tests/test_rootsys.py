@@ -1,5 +1,6 @@
 """Root-system kernel: counts, pairings, highest roots, Weyl dimensions."""
 
+import hashlib
 from dataclasses import replace
 from itertools import product
 
@@ -15,7 +16,14 @@ from conecurves import (
     rho,
     weyl_dim,
 )
-from conecurves.rootsys import _MAX_RANK, _MIN_RANK, _symmetrizer, grade_key, highest_roots
+from conecurves.rootsys import (
+    _MAX_RANK,
+    _MIN_RANK,
+    _generate_positive_roots,
+    _symmetrizer,
+    grade_key,
+    highest_roots,
+)
 
 # Closed-form positive-root counts, frozen from the classical tables.
 POSITIVE_ROOT_COUNTS = {
@@ -233,6 +241,34 @@ def test_symmetrizer_of_every_admitted_type(name):
         "G": (1, 3),
     }.get(name[0], (1,) * n)
     assert build_root_system(CartanType.parse(name)).symmetrizer == want
+
+
+# sha256 over repr((type, positive_roots)) lines of every admitted type,
+# recorded before the generator carried each root's coroot pairings.
+ROOT_DIGEST = "8139eebe0f0cc9a61a49dfb3ee74cd12768d15baae74dfb98796e428e6449f52"
+
+
+def test_positive_roots_of_every_admitted_type_are_unchanged():
+    digest = hashlib.sha256()
+    for name in ADMITTED_TYPES:
+        rs = build_root_system(CartanType.parse(name))
+        digest.update(repr((name, rs.positive_roots)).encode() + b"\n")
+    assert len(ADMITTED_TYPES) == 68
+    assert digest.hexdigest() == ROOT_DIGEST
+
+
+@pytest.mark.parametrize(
+    "cartan, message",
+    [
+        # Affine A1^(1): the real roots climb forever.
+        (((2, -2), (-2, 2)), "did not terminate"),
+        # Hyperbolic: the roots grow past the cap before the height guard.
+        (((2, -3), (-3, 2)), "too many positive roots"),
+    ],
+)
+def test_root_generation_guards(cartan, message):
+    with pytest.raises(InternalError, match=message):
+        _generate_positive_roots(cartan)
 
 
 @pytest.mark.parametrize(
