@@ -20,6 +20,10 @@ rows or components is built and the writes stay few when stdout is
 unbuffered (python -u, PYTHONUNBUFFERED=1).  Writing starts before the last
 component's lift is checked, so on exit code 3 stdout may hold a
 truncated document.
+
+Each command imports the modules it uses when it runs, so roots and gp
+load none of components, conegeom and affine, and ne and classify do not
+load affine.
 """
 
 from __future__ import annotations
@@ -28,15 +32,19 @@ import argparse
 import os
 import sys
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
-from .affine import compare_ne_ir
-from .components import ComponentReport, count_components, count_solutions, graded_solutions, iter_components
-from .conegeom import ConeSpace, build_cone, has_lines
 from .errors import InputError, InternalError
 from .parabolic import build_parabolic, kappa, minimal_ample, parse_alpha_p, parse_lambda
 from .rootsys import _MAX_DIGITS, CartanType, build_root_system, highest_root, rho
 
-# Largest --degree accepted; the counts that gate enumeration take O(degree) steps.
+if TYPE_CHECKING:
+    from .components import ComponentReport
+    from .conegeom import ConeSpace
+
+# Largest --degree accepted.  It bounds the counts that gate enumeration:
+# components.count_solutions takes O(k * degree) steps for k weights, or
+# O(D^2 * log degree) for weight sum D where that is estimated cheaper.
 _MAX_DEGREE = 100_000
 # Largest number of classes (ne) or components (classify) one run may list.
 _MAX_CLASSES = 1_000_000
@@ -86,6 +94,8 @@ def _expanded_lambda(cone: ConeSpace) -> list[int]:
 
 
 def _make_cone(args: argparse.Namespace) -> ConeSpace:
+    from .conegeom import build_cone
+
     rs = build_root_system(CartanType.parse(args.type))
     p = build_parabolic(rs, parse_alpha_p(args.parabolic))
     if args.ample.strip().lower() == "min":
@@ -199,6 +209,8 @@ def cmd_gp(args: argparse.Namespace) -> int:
 
 
 def cmd_ne(args: argparse.Namespace) -> int:
+    from .components import count_solutions, graded_solutions
+
     cone = _make_cone(args)
     _check_size(count_solutions(cone.ell, args.degree), "effective classes")
     row = "ne " + ",".join(["%d"] * len(cone.ell)) + "\n"
@@ -208,6 +220,9 @@ def cmd_ne(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .components import count_components, iter_components
+    from .conegeom import has_lines
+
     cone = _make_cone(args)
     _check_size(count_components(cone, args.degree), "components")
     components = iter_components(cone, args.degree)
@@ -247,6 +262,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_affine_compare(args: argparse.Namespace) -> int:
+    from .affine import compare_ne_ir
+    from .conegeom import build_cone
+
     rs = build_root_system(CartanType.parse(args.type))
     p = build_parabolic(rs, tuple(range(1, rs.rank + 1)))
     cone = build_cone(p, minimal_ample(p), 1)

@@ -26,17 +26,24 @@ source of l, e and x.
 Sizes come from one counting routine, count_solutions, which never
 lists anything: the number of nonnegative v with <v, w> = t is the
 coefficient of x^t in prod 1/(1 - x^w_i) (Stanley, Enumerative
-Combinatorics Vol. 1, ch. 1 and 4), found by an O(k * t) integer
-recurrence.  Without lines, the component count sum_{d' <= d} |ne(d')|
-is the same coefficient with one more weight-1 coordinate: the solutions
-of <beta, ell> + m = d, where the slack m = d - d' is the vertex
-multiplicity.  affine.compare_ne_ir takes both of its counts from it.
+Combinatorics Vol. 1, ch. 1 and 4).  It has two routes to that
+coefficient, chosen from the inputs alone.  Small targets (t <= 64) and
+inputs with a large weight sum D take an O(k * t) integer recurrence,
+which is also the reference the tests hold the other route to.  Large
+targets take Bostan-Mori polynomial halving (Bostan and Mori, SOSA
+2021), O(f * D * log t) with f <= D the number of factors, whenever its
+operation estimate is below the recurrence's k * t.  Without lines,
+the component count sum_{d' <= d} |ne(d')| is the same coefficient with
+one more weight-1 coordinate: the solutions of <beta, ell> + m = d,
+where the slack m = d - d' is the vertex multiplicity.
+affine.compare_ne_ir takes both of its counts from it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import add, sub
 
 from .conegeom import (  # noqa: F401  e_intersection stays importable from this module
     ConeSpace,
@@ -168,20 +175,67 @@ def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[in
         yield from fill((), 0, s, target)
 
 
+# Targets up to this take the recurrence without weighing the halving route.
+_HALVING_MIN_TARGET = 64
+# Fixed cost, in coefficient operations, of multiplying in one factor on the halving route.
+_HALVING_FACTOR_COST = 16
+
+
 def count_solutions(weights: tuple[int, ...], target: int) -> int:
     """Number of nonnegative integer vectors v with <v, weights> = target.
 
-    The coefficient of t^target in prod 1/(1 - t^w) over the (positive)
-    weights, by the recurrence that multiplies in one factor at a time.
-    Zero for a negative target, one for target 0.
+    The coefficient of t^target in 1/Q(t), Q = prod (1 - t^w) over the
+    (positive) weights, by one of two routes chosen from the inputs
+    alone, with the same result.  The recurrence multiplies in one factor
+    1/(1 - t^w) at a time: k * target additions for k weights.  The
+    halving route, _count_by_halving, takes bitlen(target) steps; a step
+    multiplies a polynomial of at most about D = sum(weights)
+    coefficients by each of at most f = sum(w & -w) factors, so its
+    estimate is f * (D + _HALVING_FACTOR_COST) * bitlen(target), the
+    constant standing for the fixed cost of one factor.  A target of at
+    most _HALVING_MIN_TARGET takes the recurrence without the estimate;
+    a larger one takes the halving route when the estimate is below
+    k * target.  A huge weight makes D huge, so it always takes the
+    recurrence, where it costs nothing beyond the target.  Zero for a
+    negative target, one for target 0.
     """
     if target < 0:
         return 0
+    if target > _HALVING_MIN_TARGET:
+        factors = sum(w & -w for w in weights)
+        if factors * (sum(weights) + _HALVING_FACTOR_COST) * target.bit_length() < len(weights) * target:
+            return _count_by_halving(weights, target)
     coeff = [1] + [0] * target
     for w in weights:
         for d in range(w, target + 1):
             coeff[d] += coeff[d - w]
     return coeff[target]
+
+
+def _count_by_halving(weights: tuple[int, ...], target: int) -> int:
+    """Coefficient of t^target in 1/prod (1 - t^w), by polynomial halving.
+
+    Bostan and Mori, "A simple and fast algorithm for computing the N-th
+    term of a linearly recurrent sequence" (SOSA 2021): with P = 1 and
+    Q = prod (1 - t^w), [t^N] P/Q = [s^(N // 2)] U_r(s)/V(s), where
+    P(t) Q(-t) = U_0(t^2) + t U_1(t^2), r = N mod 2, and V(t^2) =
+    Q(t) Q(-t).  Q stays a product of factors 1 - t^w: (1 - t^w)(1 -
+    (-t)^w) is 1 - s^w for odd w and (1 - s^(w/2))^2 for even w, so V
+    keeps the odd weights and splits each even weight into two halves,
+    and P(t) Q(-t) is P times 1 + t^w (odd w) or 1 - t^w (even w), one
+    factor at a time.  When N reaches 0 the answer is P(0), since Q(0) = 1.
+    """
+    ws = list(weights)
+    p = [1]
+    while target:
+        for w in ws:
+            u = p + [0] * w
+            u[w:] = map(add if w & 1 else sub, u[w:], p)
+            p = u
+        p = p[target & 1 :: 2]
+        ws = [h for w in ws for h in ((w,) if w & 1 else (w >> 1, w >> 1))]
+        target >>= 1
+    return p[0]
 
 
 def total_degree(cone: ConeSpace, beta: EffectiveClass) -> int:

@@ -123,3 +123,55 @@ def test_cli_import_leaves_selfcheck_and_json_unloaded():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "[]\n"
+
+
+LAZY_MODULES = {"conecurves.components", "conecurves.conegeom", "conecurves.affine"}
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["roots", "--type", "A1"], LAZY_MODULES),
+        (["gp", "--type", "F4", "--parabolic", "2,3"], LAZY_MODULES),
+        (["ne", *E8_FLAG, "--degree", "2"], {"conecurves.affine"}),
+        (["classify", *E8_FLAG, "--degree", "2"], {"conecurves.affine"}),
+    ],
+    ids=["roots", "gp", "ne", "classify"],
+)
+def test_commands_import_only_the_modules_they_use(argv, absent):
+    probe = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('conecurves', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print(sorted(m for m in sys.modules if m.startswith('conecurves')), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0
+    loaded = set(eval(proc.stderr.splitlines()[-1]))
+    assert "conecurves.cli" in loaded
+    assert not loaded & absent
+
+
+def test_package_resolves_its_names_on_first_access():
+    probe = (
+        "import sys, conecurves\n"
+        "before = dir(conecurves)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('conecurves.')))\n"
+        "values = [getattr(conecurves, n) for n in conecurves.__all__]\n"
+        "print(before == dir(conecurves), len(conecurves.__all__))\n"
+        "mods = [m for name, m in sys.modules.items() if name.startswith('conecurves.')]\n"
+        "print(all(any(vars(m).get(n) is v for m in mods) for n, v in zip(conecurves.__all__, values)))\n"
+        "subs = {'affine', 'components', 'conegeom', 'errors', 'parabolic', 'rootsys'}\n"
+        "dunders = {n for n in vars(conecurves) if n.startswith('__')} - {'__getattr__', '__dir__'}\n"
+        "print(sorted(set(before) ^ (set(conecurves.__all__) | subs | dunders)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\nTrue 45\nTrue\n[]\n"
+    import conecurves
+
+    assert conecurves.__all__ == sorted(conecurves.__all__)
+    assert conecurves.components.count_components is conecurves.count_components
+    with pytest.raises(AttributeError, match="no attribute 'count_solutions'"):
+        conecurves.count_solutions

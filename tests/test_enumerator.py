@@ -1,14 +1,19 @@
 """The graded enumerator behind ne and level_weights, and the counting routine beside it."""
 
+import subprocess
+import sys
 import time
 from itertools import product
+from math import comb
 
 import pytest
 
 from conecurves import CartanType, build_cone, build_parabolic, build_root_system, compare_ne_ir, minimal_ample, ne
-from conecurves.components import count_solutions, graded_solutions
+from conecurves import components
+from conecurves.components import _count_by_halving, count_solutions, graded_solutions
 
 E8_COMARKS = (1, 2, 3, 4, 6, 5, 4, 3, 2)
+F4_COMARKS = (1, 2, 3, 4, 2)
 
 
 def sorted_box_scan(weights, target):
@@ -18,13 +23,28 @@ def sorted_box_scan(weights, target):
     return sorted(sols, key=lambda v: (sum(v), tuple(-c for c in v)))
 
 
-def series_coefficient(weights, degree):
-    """Coefficient of t^degree in prod 1/(1 - t^w), by integer dynamic programming."""
+def series(weights, degree):
+    """Coefficients of t^0 .. t^degree in prod 1/(1 - t^w), by integer dynamic programming."""
     coeff = [1] + [0] * degree
     for w in weights:
         for d in range(w, degree + 1):
             coeff[d] += coeff[d - w]
-    return coeff[degree]
+    return coeff
+
+
+def series_coefficient(weights, degree):
+    """Coefficient of t^degree in prod 1/(1 - t^w)."""
+    return series(weights, degree)[degree]
+
+
+@pytest.fixture
+def no_halving(monkeypatch):
+    """Make the halving route raise, so a call that returns took the recurrence."""
+
+    def refuse(weights, target):
+        raise AssertionError(f"halving route taken for {weights}, {target}")
+
+    monkeypatch.setattr(components, "_count_by_halving", refuse)
 
 
 def test_all_small_weight_vectors_match_sorted_box_scan():
@@ -94,4 +114,78 @@ def test_compare_ne_ir_e8_degree_40_counts_without_enumerating():
     cmp = compare_ne_ir(cone, 40)
     elapsed = time.perf_counter() - start
     assert cmp.ne_count == 62891499
+    assert elapsed < 1.0
+
+
+def test_halving_equals_the_recurrence_on_small_weights():
+    for k in (1, 2, 3, 4):
+        for weights in product(range(1, 6), repeat=k):
+            want = series(weights, 80)
+            assert [_count_by_halving(weights, t) for t in range(81)] == want, weights
+
+
+@pytest.mark.parametrize("weights", [E8_COMARKS, F4_COMARKS, (2,) * 8 + (1,)], ids=["E8", "F4", "E8-no-lines"])
+def test_halving_equals_the_recurrence_on_comark_vectors(weights):
+    want = series(weights, 200)
+    assert [_count_by_halving(weights, t) for t in range(201)] == want
+
+
+@pytest.mark.parametrize("k", [1, 8, 21])
+def test_all_ones_count_is_a_binomial_at_the_degree_limit(k):
+    assert count_solutions((1,) * k, 100_000) == comb(100_000 + k - 1, k - 1)
+
+
+def test_weights_two_and_one_count_at_the_degree_limit():
+    for t in (99_999, 100_000):
+        assert count_solutions((2, 1), t) == t // 2 + 1
+
+
+def test_small_targets_never_take_the_halving_route(no_halving):
+    for k in (1, 2, 3):
+        for weights in product(range(1, 6), repeat=k):
+            want = series(weights, 64)
+            assert [count_solutions(weights, t) for t in range(65)] == want, weights
+    for weights in ((1,), (1,) * 21, E8_COMARKS):
+        assert count_solutions(weights, 64) == series_coefficient(weights, 64)
+
+
+def test_a_huge_weight_takes_the_recurrence_at_once(no_halving):
+    huge = 10**49  # 50 digits
+    start = time.perf_counter()
+    assert count_solutions((huge,), 100_000) == 0
+    assert count_solutions((huge, 1, 2), 100_000) == 50_001
+    assert time.perf_counter() - start < 1.0
+
+
+def test_large_targets_with_small_weights_take_the_halving_route(monkeypatch):
+    taken = []
+    real = components._count_by_halving
+    monkeypatch.setattr(components, "_count_by_halving", lambda w, t: taken.append((w, t)) or real(w, t))
+    assert count_solutions((2, 1), 1500) == 751  # the A1 conic count at d = 1500
+    assert count_solutions((1,), 1500) == 1
+    assert count_solutions(E8_COMARKS, 100_000) == series_coefficient(E8_COMARKS, 100_000)
+    assert taken == [((2, 1), 1500), ((1,), 1500), (E8_COMARKS, 100_000)]
+
+
+def cli(*argv):
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "conecurves", *argv], capture_output=True, text=True)
+    return proc, time.perf_counter() - start
+
+
+def test_cli_affine_compare_e8_at_the_degree_limit():
+    proc, elapsed = cli("affine-compare", "--type", "E8", "--degree", "100000")
+    assert proc.returncode == 0, proc.stderr
+    assert f"ne={comb(100_007, 7)} " in proc.stdout
+    assert elapsed < 1.0
+
+
+def test_cli_refuses_the_a21_full_flag_at_the_degree_limit_at_once():
+    nodes = ",".join(map(str, range(1, 22)))
+    proc, elapsed = cli(
+        "classify", "--type", "A21", "--parabolic", nodes, "--lambda", "min", "--vertex-dim", "1", "--degree", "100000"
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"the request has {comb(100_020, 20)} components" in proc.stderr
     assert elapsed < 1.0
