@@ -14,12 +14,15 @@ degree above _MAX_DEGREE while parsing, and ne and classify refuse, from
 the count alone and before enumerating, a request for more than
 _MAX_CLASSES classes or components (exit code 2).
 
-ne and classify stream their output: rows are laid out by hand and
-written _WRITE_BATCH at a time while the enumeration runs, so no list of
-rows or components is built and the writes stay few when stdout is
-unbuffered (python -u, PYTHONUNBUFFERED=1).  Writing starts before the last
-component's lift is checked, so on exit code 3 stdout may hold a
-truncated document.
+ne and classify stream their output: ne takes each class from
+components.graded_solutions and classify each component as a plain row
+from components.iter_rows, which walks every stratum through the same
+enumerator.  Rows are laid out by hand and written _WRITE_BATCH at a
+time while the enumeration runs, so neither command builds a record, a
+class list or a component list, memory stays flat as the degree grows,
+and the writes stay few when stdout is unbuffered (python -u,
+PYTHONUNBUFFERED=1).  Writing starts before the last component's lift
+is checked, so on exit code 3 stdout may hold a truncated document.
 
 Each command imports the modules it uses when it runs, so roots and gp
 load none of components, conegeom and affine, and ne and classify do not
@@ -220,21 +223,20 @@ def cmd_ne(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    from .components import count_components, iter_components
+    from .components import count_components, iter_rows
     from .conegeom import has_lines
 
     cone = _make_cone(args)
     _check_size(count_components(cone, args.degree), "components")
-    components = iter_components(cone, args.degree)
+    rows = iter_rows(cone, args.degree)
     if args.exclude_vertex_stratum:
-        components = (c for c in components if any(c.beta.coeffs))
+        rows = (r for r in rows if any(r[0]))
     dims: set[int] = set()
 
     def fields() -> Iterator[tuple[int, ...]]:
-        for c in components:
-            dims.add(c.dimension)
-            m = c.vertex_multiplicity  # iter_components checked it equal to e
-            yield (*c.beta.coeffs, c.alpha_prime, m, c.tilde.relative_degree, m, c.dimension)
+        for beta, alpha_prime, m, rel, dim in rows:
+            dims.add(dim)
+            yield (*beta, alpha_prime, m, rel, m, dim)  # iter_rows checked e equal to m
 
     beta_slots = ["%d"] * len(cone.ell)
     if args.format == "tsv":

@@ -11,10 +11,15 @@ component dimension is
 
     <beta, chern - ell> + (n + 1) * d + dim_x,
 
-which is cross-checked on every descriptor against the morphism-space
-dimension of the lifted class on the resolution.  iter_components
-yields the checked descriptors stratum by stratum, so a writer can
-stream them; classify is the tuple of it.
+which is cross-checked on every component against the morphism-space
+dimension of the lifted class on the resolution.  Writers take plain
+rows from iter_rows, which walks each stratum through graded_solutions
+and builds no record, so their memory does not grow with the number of
+components.  The library API takes records: iter_components yields
+ComponentDescriptors stratum by stratum, each stratum listed by ne, and
+classify is the tuple of it.  Both share the stratum list and the
+per-component lift check, so they list the same components in the same
+order under the same checks.
 
 Index sets come from one enumerator, graded_solutions, which emits the
 vectors of a fixed weighted degree already in grade_key order (ascending
@@ -243,6 +248,57 @@ def total_degree(cone: ConeSpace, beta: EffectiveClass) -> int:
     return base_degree(cone, beta.coeffs)
 
 
+def _strata(cone: ConeSpace, degree: int) -> list[tuple[int, int, int]]:
+    """(alpha_prime, multiplicity, relative degree) of each stratum, by decreasing d'.
+
+    One stratum d' = degree with lines, d' = degree, ..., 0 without.
+    The relative degree (n+1)*multiplicity + n*d' makes the exceptional
+    intersection of the lift equal the vertex multiplicity.
+    """
+    if degree < 0:
+        raise InputError(f"degree must be >= 0, got {degree}")
+    n = cone.vertex_dim
+    dps = (degree,) if has_lines(cone) else range(degree, -1, -1)
+    return [(dp, degree - dp, (n + 1) * (degree - dp) + n * dp) for dp in dps]
+
+
+def _checked_dimension(cone: ConeSpace, beta: tuple[int, ...], mult: int, rel: int, top: int) -> int:
+    """The dimension of the component over beta, from one conegeom.lift call.
+
+    top is (n+1)*degree + dim_x.  The lift of (beta, rel) must have e
+    equal to the multiplicity, be nonempty, give the same morphism-space
+    dimension by both routes, and reproduce the stated dimension
+    <beta, chern - ell> + top; a failure raises InternalError.
+    """
+    lf = lift(cone, beta, rel)
+    if lf.e != mult or not lf.nonempty:
+        raise InternalError(f"constructed lift {TildeClass(beta, rel)} is not a valid nonempty class")
+    if lf.dim_branch != lf.dim_base_fiber:
+        raise InternalError(
+            f"dimension routes disagree: {lf.dim_branch} != {lf.dim_base_fiber} for {TildeClass(beta, rel)}"
+        )
+    dim = lf.chern_base - lf.base_degree + top
+    if dim != lf.dim_branch:
+        raise InternalError(
+            f"component dimension {dim} disagrees with the lifted morphism space for {TildeClass(beta, rel)}"
+        )
+    return dim
+
+
+def iter_rows(cone: ConeSpace, degree: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
+    """The components as plain rows (beta, alpha_prime, multiplicity, relative degree, dimension).
+
+    The same components, in the same order and with the same checks, as
+    iter_components, but each stratum is walked through graded_solutions
+    and no record is built, so memory stays flat however many components
+    there are.  The command-line writers format these rows.
+    """
+    top = (cone.vertex_dim + 1) * degree + cone.dim_x
+    for alpha_prime, mult, rel in _strata(cone, degree):
+        for beta in graded_solutions(cone.ell, alpha_prime):
+            yield beta, alpha_prime, mult, rel, _checked_dimension(cone, beta, mult, rel, top)
+
+
 def iter_components(cone: ConeSpace, degree: int) -> Iterator[ComponentDescriptor]:
     """The components of the degree-`degree` curve space, one at a time.
 
@@ -257,30 +313,11 @@ def iter_components(cone: ConeSpace, degree: int) -> Iterator[ComponentDescripto
     morphism-space dimension by both routes, and to reproduce the stated
     dimension; a failure raises InternalError.
     """
-    if degree < 0:
-        raise InputError(f"degree must be >= 0, got {degree}")
-    if has_lines(cone):
-        strata = [(degree, 0)]
-    else:
-        strata = [(dp, degree - dp) for dp in range(degree, -1, -1)]
-    n = cone.vertex_dim
-    top = (n + 1) * degree + cone.dim_x
-    for alpha_prime, mult in strata:
-        rel = (n + 1) * mult + n * alpha_prime
+    top = (cone.vertex_dim + 1) * degree + cone.dim_x
+    for alpha_prime, mult, rel in _strata(cone, degree):
         for beta in ne(cone, alpha_prime):
             tilde = TildeClass(beta.coeffs, rel)
-            lf = lift(cone, beta.coeffs, rel)
-            if lf.e != mult or not lf.nonempty:
-                raise InternalError(f"constructed lift {tilde} is not a valid nonempty class")
-            if lf.dim_branch != lf.dim_base_fiber:
-                raise InternalError(
-                    f"dimension routes disagree: {lf.dim_branch} != {lf.dim_base_fiber} for {tilde}"
-                )
-            dim = lf.chern_base - lf.base_degree + top
-            if dim != lf.dim_branch:
-                raise InternalError(
-                    f"component dimension {dim} disagrees with the lifted morphism space for {tilde}"
-                )
+            dim = _checked_dimension(cone, beta.coeffs, mult, rel, top)
             yield ComponentDescriptor(beta, alpha_prime, mult, tilde, dim)
 
 

@@ -2,9 +2,9 @@
 counts, failure mid-stream, peak memory and start-up imports."""
 
 import contextlib
+import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 import types
@@ -83,6 +83,24 @@ def test_lift_failure_mid_stream_exits_3_with_one_line(monkeypatch, capsys, afte
 
 
 @pytest.mark.parametrize(
+    "fmt,digest",
+    [
+        # sha256 of the stdout recorded before classify streamed rows instead of records.
+        ("json", "be875238341e98698311298ae453be163819463c447f49731afb262dc27cbbfe"),
+        ("tsv", "679cad2732f35bb1ac234e6073777bbde09ebbe5962deea244daf65cb0841891"),
+    ],
+)
+def test_cli_classify_builds_no_records(monkeypatch, fmt, digest):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the classify command built a record")
+
+    for name in ("ComponentDescriptor", "EffectiveClass", "ne"):
+        monkeypatch.setattr(components, name, refuse)
+    out = stdout_of(["classify", "--format", fmt, *E8_FLAG, "--degree", "8"])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv,lines",
     [
         (["classify", "--format", "tsv", *E8_FLAG, "--degree", "6"], 1717),  # header + 1,716 components
@@ -98,19 +116,32 @@ def test_line_output_is_written_in_few_writes(monkeypatch, argv, lines):
     assert "".join(writes).count("\n") == lines
 
 
+# Linux carries the starting process's resident high-water mark across exec
+# into the child's ru_maxrss, so a bare interpreter starts the child: started
+# from the test process, the child would read at least the test process's size.
+SPAWN = (
+    "import os, sys\n"
+    "argv = [sys.executable, '-m', 'conecurves', *sys.argv[1:]]\n"
+    "devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]\n"
+    "_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ, file_actions=devnull), 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
 def child_peak_rss_mb(argv):
-    proc = subprocess.Popen([sys.executable, "-m", "conecurves", *argv], stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    return usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    proc = subprocess.run([sys.executable, "-c", SPAWN, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, kib = map(int, proc.stdout.split())
+    assert code == 0
+    return kib / 1024  # ru_maxrss is in KiB on Linux
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss units are platform-specific")
 def test_streamed_output_memory_barely_grows_with_the_degree():
     # d=8: 6,435 components; d=14: 116,280 components (28.8 MB of JSON).
-    json8, json14 = (child_peak_rss_mb(["classify", *E8_FLAG, "--degree", d]) for d in ("8", "14"))
-    assert json14 - json8 < 30
+    for fmt in ("json", "tsv"):
+        at8, at14 = (child_peak_rss_mb(["classify", "--format", fmt, *E8_FLAG, "--degree", d]) for d in ("8", "14"))
+        assert at14 - at8 < 5, fmt
     ne8, ne14 = (child_peak_rss_mb(["ne", *E8_FLAG, "--degree", d]) for d in ("8", "14"))
     assert ne14 - ne8 < 5
 

@@ -1,6 +1,6 @@
 """Component classification: index sets, dimensions, multiplicities."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -22,6 +22,8 @@ from conecurves import (
     ne,
     total_degree,
 )
+from conecurves.components import iter_components, iter_rows
+from conecurves.parabolic import minimal_ample
 
 
 def make_cone(type_name, subset, ell, n):
@@ -203,7 +205,41 @@ def test_dimension_formula_constancy_matches_equidimensionality():
             assert rep.equidimensional == (len(spreads) <= 1)
 
 
-@pytest.mark.parametrize(
+def row_of(c):
+    return (c.beta.coeffs, c.alpha_prime, c.vertex_multiplicity, c.tilde.relative_degree, c.dimension)
+
+
+@pytest.mark.parametrize("type_name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"])
+def test_iter_rows_are_iter_components_without_records(type_name):
+    # Every marked diagram of the type, ell in {min, 2 min}, n in {1, 2}:
+    # lines cones (min) and no-lines cones (2 min) alike.
+    rs = build_root_system(CartanType.parse(type_name))
+    for size in range(1, rs.rank + 1):
+        for nodes in combinations(range(1, rs.rank + 1), size):
+            p = build_parabolic(rs, nodes)
+            for lam in (minimal_ample(p), tuple(2 * x for x in minimal_ample(p))):
+                for n in (1, 2):
+                    cone = build_cone(p, lam, n)
+                    for degree in range(7):
+                        rows = tuple(iter_rows(cone, degree))
+                        assert rows == tuple(map(row_of, iter_components(cone, degree)))
+                        assert all(type(r[0]) is tuple for r in rows)
+
+
+def test_iter_rows_on_the_e8_full_flag():
+    rs = build_root_system(CartanType.parse("E8"))
+    p = build_parabolic(rs, tuple(range(1, 9)))
+    cone = build_cone(p, minimal_ample(p), 1)
+    for degree in range(5):
+        assert tuple(iter_rows(cone, degree)) == tuple(map(row_of, iter_components(cone, degree)))
+
+
+def test_iter_rows_rejects_negative_degree():
+    with pytest.raises(InputError):
+        next(iter_rows(make_cone("A1", (1,), (1,), 1), -2))
+
+
+LIFT_CORRUPTIONS = pytest.mark.parametrize(
     "corrupt,message",
     [
         (lambda lf: lf._replace(e=lf.e + 1), "is not a valid nonempty class"),
@@ -214,8 +250,19 @@ def test_dimension_formula_constancy_matches_equidimensionality():
     ],
     ids=["e-is-multiplicity", "nonempty", "routes-agree", "dimension-formula"],
 )
+
+
+@LIFT_CORRUPTIONS
 def test_classify_lift_checks_can_fail(monkeypatch, corrupt, message):
     real = components.lift
     monkeypatch.setattr(components, "lift", lambda cone, beta, d: corrupt(real(cone, beta, d)))
     with pytest.raises(InternalError, match=message):
         classify(make_cone("A1", (1,), (2,), 1), 2)
+
+
+@LIFT_CORRUPTIONS
+def test_iter_rows_lift_checks_can_fail(monkeypatch, corrupt, message):
+    real = components.lift
+    monkeypatch.setattr(components, "lift", lambda cone, beta, d: corrupt(real(cone, beta, d)))
+    with pytest.raises(InternalError, match=message):
+        tuple(iter_rows(make_cone("A1", (1,), (2,), 1), 2))
