@@ -60,6 +60,8 @@ from .conegeom import (  # noqa: F401  e_intersection stays importable from this
 )
 from .errors import InputError, InternalError
 
+_set = object.__setattr__
+
 
 @dataclass(frozen=True, slots=True)
 class EffectiveClass:
@@ -67,9 +69,12 @@ class EffectiveClass:
 
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if min(self.coeffs, default=0) < 0:
-            raise InputError(f"effective class must have nonnegative coordinates, got {self.coeffs}")
+    # One per class from ne: this __init__ (dataclass keeps it) checks with a plain min(), at about
+    # half the cost of the generated __init__ plus a __post_init__ with min(..., default=0).
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if coeffs and min(coeffs) < 0:
+            raise InputError(f"effective class must have nonnegative coordinates, got {coeffs}")
+        _set(self, "coeffs", coeffs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,6 +86,21 @@ class ComponentDescriptor:
     vertex_multiplicity: int
     tilde: TildeClass
     dimension: int
+
+    # One per component: a hand-written __init__ (dataclass keeps it) is cheaper than the generated one.
+    def __init__(
+        self,
+        beta: EffectiveClass,
+        alpha_prime: int,
+        vertex_multiplicity: int,
+        tilde: TildeClass,
+        dimension: int,
+    ) -> None:
+        _set(self, "beta", beta)
+        _set(self, "alpha_prime", alpha_prime)
+        _set(self, "vertex_multiplicity", vertex_multiplicity)
+        _set(self, "tilde", tilde)
+        _set(self, "dimension", dimension)
 
 
 @dataclass(frozen=True)
@@ -270,15 +290,13 @@ def _checked_dimension(cone: ConeSpace, beta: tuple[int, ...], mult: int, rel: i
     dimension by both routes, and reproduce the stated dimension
     <beta, chern - ell> + top; a failure raises InternalError.
     """
-    lf = lift(cone, beta, rel)
-    if lf.e != mult or not lf.nonempty:
+    l, chern_base, e, _, nonempty, _, _, branch, base_fiber = lift(cone, beta, rel)
+    if e != mult or not nonempty:
         raise InternalError(f"constructed lift {TildeClass(beta, rel)} is not a valid nonempty class")
-    if lf.dim_branch != lf.dim_base_fiber:
-        raise InternalError(
-            f"dimension routes disagree: {lf.dim_branch} != {lf.dim_base_fiber} for {TildeClass(beta, rel)}"
-        )
-    dim = lf.chern_base - lf.base_degree + top
-    if dim != lf.dim_branch:
+    if branch != base_fiber:
+        raise InternalError(f"dimension routes disagree: {branch} != {base_fiber} for {TildeClass(beta, rel)}")
+    dim = chern_base - l + top
+    if dim != branch:
         raise InternalError(
             f"component dimension {dim} disagrees with the lifted morphism space for {TildeClass(beta, rel)}"
         )

@@ -35,6 +35,8 @@ from .errors import InputError, InternalError
 from .parabolic import ParabolicData, validate_ample
 from .rootsys import Weight
 
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class ConeSpace:
@@ -68,6 +70,11 @@ class TildeClass:
 
     beta: tuple[int, ...]
     relative_degree: int
+
+    # One per component: a hand-written __init__ (dataclass keeps it) is cheaper than the generated one.
+    def __init__(self, beta: tuple[int, ...], relative_degree: int) -> None:
+        _set(self, "beta", beta)
+        _set(self, "relative_degree", relative_degree)
 
 
 def build_cone(p: ParabolicData, lam: Weight, vertex_dim: int) -> ConeSpace:
@@ -171,12 +178,14 @@ def lift(cone: ConeSpace, beta: tuple[int, ...], relative_degree: int) -> Lift:
         nonempty = d == -l or d >= l
     else:
         nonempty = d >= -l
+    # One lift per component: tuple.__new__ skips the namedtuple's Python-level __new__.
     if not nonempty:
-        return Lift(l, chern_base, e, x, False, chern_degree, None, None, None)
+        return tuple.__new__(Lift, (l, chern_base, e, x, False, chern_degree, None, None, None))
     fiber = n * x + n - 1 if x < l else d + n
     dim_x = par.dim_gp + n
     branch = chern_degree + dim_x if e >= 0 else chern_degree + dim_x - e - 1
-    return Lift(l, chern_base, e, x, True, chern_degree, fiber, branch, chern_base + par.dim_gp + fiber)
+    base_fiber = chern_base + par.dim_gp + fiber
+    return tuple.__new__(Lift, (l, chern_base, e, x, True, chern_degree, fiber, branch, base_fiber))
 
 
 def e_intersection(cone: ConeSpace, t: TildeClass) -> int:

@@ -1,5 +1,7 @@
 """Component classification: index sets, dimensions, multiplicities."""
 
+import inspect
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations, product
 
 import pytest
@@ -7,9 +9,11 @@ import pytest
 from conecurves import components
 from conecurves import (
     CartanType,
+    ComponentDescriptor,
     EffectiveClass,
     InputError,
     InternalError,
+    TildeClass,
     build_cone,
     build_parabolic,
     build_root_system,
@@ -72,8 +76,52 @@ def test_total_degree():
 
 
 def test_effective_class_rejects_negative():
-    with pytest.raises(InputError):
+    message = "effective class must have nonnegative coordinates, got {}"
+    with pytest.raises(InputError) as exc:
         EffectiveClass((1, -1))
+    assert str(exc.value) == message.format((1, -1))
+    with pytest.raises(InputError) as exc:
+        replace(EffectiveClass((1, 0)), coeffs=(0, -2))
+    assert str(exc.value) == message.format((0, -2))
+    assert EffectiveClass(()).coeffs == ()
+
+
+# The per-class records have hand-written constructors; each must still
+# behave as the frozen, slotted dataclass it is declared to be.
+@pytest.mark.parametrize(
+    "cls,args,change,text",
+    [
+        (EffectiveClass, ((2, 0, 1),), ("coeffs", (0, 3)), "EffectiveClass(coeffs=(2, 0, 1))"),
+        (TildeClass, ((2, 1), -3), ("relative_degree", 5), "TildeClass(beta=(2, 1), relative_degree=-3)"),
+        (
+            ComponentDescriptor,
+            (EffectiveClass((1,)), 1, 0, TildeClass((1,), 1), 4),
+            ("dimension", 5),
+            "ComponentDescriptor(beta=EffectiveClass(coeffs=(1,)), alpha_prime=1, vertex_multiplicity=0, "
+            "tilde=TildeClass(beta=(1,), relative_degree=1), dimension=4)",
+        ),
+    ],
+    ids=["EffectiveClass", "TildeClass", "ComponentDescriptor"],
+)
+def test_record_constructors_keep_the_dataclass_contract(cls, args, change, text):
+    names = [f.name for f in fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names
+    assert cls.__match_args__ == tuple(names)
+    rec = cls(*args)
+    assert [getattr(rec, name) for name in names] == list(args)
+    assert rec == cls(**dict(zip(names, args))) == replace(rec)
+    assert hash(rec) == hash(cls(*args)) == hash(tuple(args))
+    assert repr(rec) == text
+    name, value = change
+    moved = replace(rec, **{name: value})
+    assert type(moved) is cls and getattr(moved, name) == value and moved != rec
+    assert [getattr(moved, n) for n in names if n != name] == [a for n, a in zip(names, args) if n != name]
+    with pytest.raises(FrozenInstanceError):
+        setattr(rec, name, value)
+    with pytest.raises(FrozenInstanceError):
+        delattr(rec, name)
+    assert not hasattr(rec, "__dict__")
+    assert getattr(rec, name) == args[names.index(name)]
 
 
 def test_classify_plane_cone():

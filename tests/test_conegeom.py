@@ -149,6 +149,17 @@ def test_lift_fields():
     quad = make_cone("A1", (1,), (2,), 1)
     assert lift(quad, (1,), 2) == Lift(2, 2, 0, 2, True, 4, 3, 6, 6)
     assert lift(quad, (1,), 0) == Lift(2, 2, -1, 1, False, 2, None, None, None)
+    # Both branches return a Lift, not a bare tuple: named fields and _replace work.
+    for d, expected in (
+        (2, Lift(base_degree=2, chern_base=2, e=0, x=2, nonempty=True, chern_degree=4,
+                 fiber_dim=3, dim_branch=6, dim_base_fiber=6)),
+        (0, Lift(base_degree=2, chern_base=2, e=-1, x=1, nonempty=False, chern_degree=2,
+                 fiber_dim=None, dim_branch=None, dim_base_fiber=None)),
+    ):
+        lf = lift(quad, (1,), d)
+        assert type(lf) is Lift and lf == expected
+        moved = lf._replace(e=7)
+        assert type(moved) is Lift and moved.e == 7 and moved[:2] == lf[:2] and moved[3:] == lf[3:]
     with pytest.raises(InputError):
         lift(quad, (1, 0), 2)
     with pytest.raises(InputError):
