@@ -21,8 +21,12 @@ enumerator.  Rows are laid out by hand and written _WRITE_BATCH at a
 time while the enumeration runs, so neither command builds a record, a
 class list or a component list, memory stays flat as the degree grows,
 and the writes stay few when stdout is unbuffered (python -u,
-PYTHONUNBUFFERED=1).  Writing starts before the last component's lift
-is checked, so on exit code 3 stdout may hold a truncated document.
+PYTHONUNBUFFERED=1).  Writing starts before the last stratum's lift
+and the last component's stratum are checked, so on exit code 3 stdout
+may hold a truncated document.  Once the enumeration ends, ne and
+classify compare the number of rows it gave (before the
+--exclude-vertex-stratum filter) with the count from the generating
+function, and a mismatch exits 3 before the document is closed.
 
 Each command imports the modules it uses when it runs, so roots and gp
 load none of components, conegeom and affine, and ne and classify do not
@@ -83,6 +87,12 @@ def _degree(text: str) -> int:
 def _check_size(count: int, what: str) -> None:
     if count > _MAX_CLASSES:
         raise InputError(f"the request has {count} {what}, more than the limit {_MAX_CLASSES}")
+
+
+def _check_enumerated(enumerated: int, count: int, what: str) -> None:
+    """The enumerator against the generating function: they must agree on the number of rows."""
+    if enumerated != count:
+        raise InternalError(f"enumerated {enumerated} {what}, but the generating function counts {count}")
 
 
 def _fmt(vec) -> str:
@@ -215,9 +225,11 @@ def cmd_ne(args: argparse.Namespace) -> int:
     from .components import count_solutions, graded_solutions
 
     cone = _make_cone(args)
-    _check_size(count_solutions(cone.ell, args.degree), "effective classes")
+    total = count_solutions(cone.ell, args.degree)
+    _check_size(total, "effective classes")
     row = "ne " + ",".join(["%d"] * len(cone.ell)) + "\n"
     count = _write_rows("", map(row.__mod__, graded_solutions(cone.ell, args.degree)))
+    _check_enumerated(count, total, "effective classes")
     sys.stdout.write(f"count {count}\n")
     return 0
 
@@ -227,14 +239,17 @@ def cmd_classify(args: argparse.Namespace) -> int:
     from .conegeom import has_lines
 
     cone = _make_cone(args)
-    _check_size(count_components(cone, args.degree), "components")
-    rows = iter_rows(cone, args.degree)
-    if args.exclude_vertex_stratum:
-        rows = (r for r in rows if any(r[0]))
+    total = count_components(cone, args.degree)
+    _check_size(total, "components")
+    exclude = args.exclude_vertex_stratum
     dims: set[int] = set()
+    enumerated = 0
 
     def fields() -> Iterator[tuple[int, ...]]:
-        for beta, alpha_prime, m, rel, dim in rows:
+        nonlocal enumerated
+        for enumerated, (beta, alpha_prime, m, rel, dim) in enumerate(iter_rows(cone, args.degree), 1):
+            if exclude and not any(beta):
+                continue
             dims.add(dim)
             yield (*beta, alpha_prime, m, rel, m, dim)  # iter_rows checked e equal to m
 
@@ -243,6 +258,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         head = "beta\talpha_prime\tvertex_multiplicity\trelative_degree\te\tdimension\n"
         row = ",".join(beta_slots) + "\t%d\t%d\t%d\t%d\t%d\n"
         _write_rows(head, map(row.__mod__, fields()))
+        _check_enumerated(enumerated, total, "components")
         return 0
     row = (
         "\n    {\n"
@@ -256,6 +272,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     )
     head = _json_head(cone, args.degree, "lines" if has_lines(cone) else "no_lines")
     count = _write_rows(head, map(row.__mod__, fields()), ",")
+    _check_enumerated(enumerated, total, "components")
     sys.stdout.write(
         ("\n  ]" if count else "]")
         + f',\n  "count": {count},\n  "equidimensional": {"true" if len(dims) <= 1 else "false"}\n}}\n'

@@ -11,22 +11,33 @@ component dimension is
 
     <beta, chern - ell> + (n + 1) * d + dim_x,
 
-which is cross-checked on every component against the morphism-space
-dimension of the lifted class on the resolution.  Writers take plain
-rows from iter_rows, which walks each stratum through graded_solutions
-and builds no record, so their memory does not grow with the number of
-components.  The library API takes records: iter_components yields
-ComponentDescriptors stratum by stratum, each stratum listed by ne, and
-classify is the tuple of it.  Both share the stratum list and the
-per-component lift check, so they list the same components in the same
-order under the same checks.
+which is cross-checked against the morphism-space dimension of the
+lifted class on the resolution once per stratum.  Within a stratum (d',
+m) every class has l = <beta, ell> = d', exceptional intersection e = m,
+the same relative degree (n+1)*m + n*d' and the same nonemptiness test,
+and <beta, chern> shifts the lift's two morphism-space dimensions and
+the stated dimension by the same amount.  So the four checks of
+conegeom.lift give every class of a stratum the verdict they give its
+first class, and one lift call, on that first class, yields the base
+(the checked dimension less <beta, chern>) from which each component's
+dimension is one dot product away.  What the shared lift cannot vouch
+for is that a class lies in its stratum, so each one is checked to have
+<beta, ell> = d' (and, on rows, nonnegative coordinates); a failure
+raises InternalError.
+
+Writers take plain rows from iter_rows, which walks each stratum through
+graded_solutions and builds no record, so their memory does not grow
+with the number of components.  The library API takes records:
+iter_components yields ComponentDescriptors stratum by stratum, each
+stratum listed by ne, and classify is the tuple of it.  Both share the
+stratum list and the per-stratum lift check, so they list the same
+components in the same order under the same checks.
 
 Index sets come from one enumerator, graded_solutions, which emits the
 vectors of a fixed weighted degree already in grade_key order (ascending
 coordinate sum, then decreasing lexicographic), so nothing is sorted
-afterwards; ne and affine.level_weights list through it.  Each
-component's lift is checked from a single call to conegeom.lift, the one
-source of l, e and x.
+afterwards; ne and affine.level_weights list through it.  conegeom.lift
+is the one source of l, e and x.
 
 Sizes come from one counting routine, count_solutions, which never
 lists anything: the number of nonnegative v with <v, w> = t is the
@@ -48,7 +59,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, mul, sub
 
 from .conegeom import (  # noqa: F401  e_intersection stays importable from this module
     ConeSpace,
@@ -282,13 +293,15 @@ def _strata(cone: ConeSpace, degree: int) -> list[tuple[int, int, int]]:
     return [(dp, degree - dp, (n + 1) * (degree - dp) + n * dp) for dp in dps]
 
 
-def _checked_dimension(cone: ConeSpace, beta: tuple[int, ...], mult: int, rel: int, top: int) -> int:
-    """The dimension of the component over beta, from one conegeom.lift call.
+def _stratum_base(cone: ConeSpace, beta: tuple[int, ...], mult: int, rel: int, top: int) -> int:
+    """The dimension of a stratum's components less <beta, chern>, from one conegeom.lift call.
 
-    top is (n+1)*degree + dim_x.  The lift of (beta, rel) must have e
-    equal to the multiplicity, be nonempty, give the same morphism-space
-    dimension by both routes, and reproduce the stated dimension
-    <beta, chern - ell> + top; a failure raises InternalError.
+    beta is the stratum's first class and top is (n+1)*degree + dim_x.
+    The lift of (beta, rel) must have e equal to the multiplicity, be
+    nonempty, give the same morphism-space dimension by both routes, and
+    reproduce the stated dimension <beta, chern - ell> + top; a failure
+    raises InternalError.  Every class of the stratum has the dimension
+    this returns plus its own <beta, chern> (see the module docstring).
     """
     l, chern_base, e, _, nonempty, _, _, branch, base_fiber = lift(cone, beta, rel)
     if e != mult or not nonempty:
@@ -300,7 +313,11 @@ def _checked_dimension(cone: ConeSpace, beta: tuple[int, ...], mult: int, rel: i
         raise InternalError(
             f"component dimension {dim} disagrees with the lifted morphism space for {TildeClass(beta, rel)}"
         )
-    return dim
+    return dim - chern_base
+
+
+def _off_stratum(beta: tuple[int, ...], alpha_prime: int) -> InternalError:
+    return InternalError(f"enumerated class {beta} is not an effective class of degree {alpha_prime}")
 
 
 def iter_rows(cone: ConeSpace, degree: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
@@ -309,12 +326,21 @@ def iter_rows(cone: ConeSpace, degree: int) -> Iterator[tuple[tuple[int, ...], i
     The same components, in the same order and with the same checks, as
     iter_components, but each stratum is walked through graded_solutions
     and no record is built, so memory stays flat however many components
-    there are.  The command-line writers format these rows.
+    there are.  Every row is checked to have nonnegative coordinates and
+    <beta, ell> = alpha_prime; each non-empty stratum's first row is then
+    lifted and checked, and a row's dimension is the stratum's base plus
+    <beta, chern>.  The command-line writers format these rows.
     """
+    ell, chern = cone.ell, cone.parabolic.chern_degrees
     top = (cone.vertex_dim + 1) * degree + cone.dim_x
     for alpha_prime, mult, rel in _strata(cone, degree):
-        for beta in graded_solutions(cone.ell, alpha_prime):
-            yield beta, alpha_prime, mult, rel, _checked_dimension(cone, beta, mult, rel, top)
+        base = None
+        for beta in graded_solutions(ell, alpha_prime):
+            if sum(map(mul, beta, ell)) != alpha_prime or min(beta) < 0:
+                raise _off_stratum(beta, alpha_prime)
+            if base is None:
+                base = _stratum_base(cone, beta, mult, rel, top)
+            yield beta, alpha_prime, mult, rel, base + sum(map(mul, beta, chern))
 
 
 def iter_components(cone: ConeSpace, degree: int) -> Iterator[ComponentDescriptor]:
@@ -325,25 +351,33 @@ def iter_components(cone: ConeSpace, degree: int) -> Iterator[ComponentDescripto
     largest stratum rather than of the whole list.  Each descriptor
     carries the lift of its generic curve to the resolution: relative
     degree (n+1)*multiplicity + n*d', so the exceptional intersection
-    equals the vertex multiplicity.  From one conegeom.lift call per
-    component, every lift is checked, before the component is yielded, to
-    have e equal to the multiplicity, to be nonempty, to give the same
+    equals the vertex multiplicity.  Every component is checked to have
+    <beta, ell> = alpha_prime.  Before a stratum's first component is
+    yielded, one conegeom.lift call on its class is checked to have e
+    equal to the multiplicity, to be nonempty, to give the same
     morphism-space dimension by both routes, and to reproduce the stated
-    dimension; a failure raises InternalError.
+    dimension; a component's dimension is the stratum's base plus <beta,
+    chern>.  A failure raises InternalError.
     """
+    ell, chern = cone.ell, cone.parabolic.chern_degrees
     top = (cone.vertex_dim + 1) * degree + cone.dim_x
     for alpha_prime, mult, rel in _strata(cone, degree):
+        base = None
         for beta in ne(cone, alpha_prime):
-            tilde = TildeClass(beta.coeffs, rel)
-            dim = _checked_dimension(cone, beta.coeffs, mult, rel, top)
-            yield ComponentDescriptor(beta, alpha_prime, mult, tilde, dim)
+            b = beta.coeffs
+            if sum(map(mul, b, ell)) != alpha_prime:
+                raise _off_stratum(b, alpha_prime)
+            if base is None:
+                base = _stratum_base(cone, b, mult, rel, top)
+            yield ComponentDescriptor(beta, alpha_prime, mult, TildeClass(b, rel), base + sum(map(mul, b, chern)))
 
 
 def classify(cone: ConeSpace, degree: int) -> ComponentReport:
     """Classify the irreducible components of the degree-`degree` curve space.
 
-    The components are those of iter_components, with every lift
-    checked; equidimensional says whether they share one dimension.
+    The components are those of iter_components, with each stratum's
+    lift and each component's stratum checked; equidimensional says
+    whether they share one dimension.
     """
     components = tuple(iter_components(cone, degree))
     return ComponentReport(

@@ -12,9 +12,17 @@ from itertools import combinations
 
 import pytest
 
-from conecurves import build_cone, build_parabolic, build_root_system, CartanType, classify, components
+from conecurves import (
+    CartanType,
+    InternalError,
+    build_cone,
+    build_parabolic,
+    build_root_system,
+    classify,
+    components,
+)
 from conecurves.cli import _WRITE_BATCH, main, report_to_dict
-from conecurves.components import iter_components
+from conecurves.components import iter_components, iter_rows
 from conecurves.parabolic import minimal_ample
 
 RANK_AT_MOST_3 = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
@@ -62,9 +70,15 @@ def test_iter_components_is_classify_one_at_a_time(type_name):
             assert tuple(iter_components(cone, degree)) == classify(cone, degree).components
 
 
-@pytest.mark.parametrize("after", [3, _WRITE_BATCH + 3], ids=["first-batch", "later-batch"])
-def test_lift_failure_mid_stream_exits_3_with_one_line(monkeypatch, capsys, after):
-    argv = ["classify", *E8_FLAG, "--degree", "8"]  # 6,435 components, more than one batch
+# No lines: strata d' = 14 and 12 hold 3,432 + 1,716 rows (d' = 13 is empty), so
+# the third stratum's lift comes after one full batch has gone out.
+E8_NO_LINES = ["--type", "E8", "--parabolic", "1,2,3,4,5,6,7,8", "--lambda", "2,2,2,2,2,2,2,2",
+               "--vertex-dim", "1", "--degree", "14"]
+
+
+@pytest.mark.parametrize("bad_lift", [2, 3], ids=["first-batch", "later-batch"])
+def test_lift_failure_mid_stream_exits_3_with_one_line(monkeypatch, capsys, bad_lift):
+    argv = ["classify", *E8_NO_LINES]
     full = stdout_of(argv)
     real = components.lift
     calls = []
@@ -72,14 +86,77 @@ def test_lift_failure_mid_stream_exits_3_with_one_line(monkeypatch, capsys, afte
     def corrupted(cone, beta, d):
         calls.append(None)
         lf = real(cone, beta, d)
-        return lf._replace(e=lf.e + 1) if len(calls) > after else lf
+        return lf._replace(e=lf.e + 1) if len(calls) == bad_lift else lf
 
     monkeypatch.setattr(components, "lift", corrupted)
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert err.startswith("internal error:") and err.count("\n") == 1
-    # Writing starts before the last check, so stdout holds a truncated document.
-    assert full.startswith(out) and len(out) < len(full)
+    assert len(calls) == bad_lift  # one lift per stratum, and the run stopped at the bad one
+    if bad_lift == 2:
+        assert out == ""  # the first stratum is smaller than a batch
+    else:
+        # Writing starts before the last check, so stdout holds a truncated document.
+        assert full.startswith(out) and 0 < len(out) < len(full)
+        assert out.count('"beta"') == _WRITE_BATCH
+
+
+def shifted_row(monkeypatch, stratum, index, shift):
+    """Patch the enumerator so that row `index` of the `stratum` listing has `shift` added."""
+    real = components.graded_solutions
+
+    def patched(weights, target):
+        for i, v in enumerate(real(weights, target)):
+            yield tuple(map(sum, zip(v, shift))) if (target, i) == (stratum, index) else v
+
+    monkeypatch.setattr(components, "graded_solutions", patched)
+
+
+# A2 full flag, ell = (2, 2), degree 4: strata d' = 4 (3 rows), 2 (2 rows), 0 (1 row).
+A2_NO_LINES = build_cone(build_parabolic(build_root_system(CartanType.parse("A2")), (1, 2)), (2, 2), 1)
+A2_ARGV = ["--type", "A2", "--parabolic", "1,2", "--lambda", "2,2", "--vertex-dim", "1", "--degree", "4"]
+
+
+@pytest.mark.parametrize(
+    "index,shifted",
+    [(0, "(2, 0)"), (1, "(1, 1)")],  # (1, 0) and (0, 1) of the d' = 2 stratum, moved to degree 4
+    ids=["lifted-row", "later-row"],
+)
+def test_row_outside_its_stratum_is_refused(monkeypatch, capsys, index, shifted):
+    shifted_row(monkeypatch, 2, index, (1, 0))
+    message = f"enumerated class {shifted} is not an effective class of degree 2"
+    for run in (lambda: tuple(iter_rows(A2_NO_LINES, 4)), lambda: classify(A2_NO_LINES, 4)):
+        with pytest.raises(InternalError) as exc:
+            run()
+        assert str(exc.value) == message
+    assert main(["classify", *A2_ARGV]) == 3
+    _, err = capsys.readouterr()
+    assert err == f"internal error: {message}\n"
+
+
+def test_negative_row_is_refused(monkeypatch):
+    shifted_row(monkeypatch, 2, 1, (-1, 1))  # (0, 1) becomes (-1, 2), still of degree 2
+    with pytest.raises(InternalError, match=r"enumerated class \(-1, 2\) is not an effective class"):
+        tuple(iter_rows(A2_NO_LINES, 4))
+
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        (["classify", *A2_ARGV], "5 components, but the generating function counts 6"),
+        (["classify", "--format", "tsv", *A2_ARGV], "5 components, but the generating function counts 6"),
+        (["classify", "--exclude-vertex-stratum", *A2_ARGV], "5 components, but the generating function counts 6"),
+        (["ne", *A2_ARGV], "2 effective classes, but the generating function counts 3"),
+    ],
+    ids=["classify-json", "classify-tsv", "classify-excluding", "ne"],
+)
+def test_dropped_row_exits_3(monkeypatch, capsys, argv, what):
+    real = components.graded_solutions
+    monkeypatch.setattr(components, "graded_solutions", lambda w, t: (v for v in real(w, t) if v != (1, 1)))
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err == f"internal error: enumerated {what}\n"
+    assert "count" not in out
 
 
 @pytest.mark.parametrize(
