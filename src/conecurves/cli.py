@@ -3,8 +3,8 @@
 Commands: roots, gp, ne, classify, affine-compare, selfcheck.
 Exit codes: 0 success, 2 invalid input, 3 internal inconsistency.
 All output is deterministic; classify emits JSON (default) or TSV.
-Integer arguments accept ASCII decimal digits only, at most
-rootsys._MAX_DIGITS of them.  A reader that closes stdout early
+Every integer, in an option or a comma-separated field, is read by
+rootsys.parse_decimal.  A reader that closes stdout early
 (`conecurves ne ... | head -1`) ends the run with exit code 0 and
 nothing on stderr: stdout is pointed at os.devnull so that the
 interpreter's final flush does not fail again.
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 
 from .errors import InputError, InternalError
 from .parabolic import build_parabolic, kappa, minimal_ample, parse_alpha_p, parse_lambda
-from .rootsys import _MAX_DIGITS, CartanType, build_root_system, highest_root, rho
+from .rootsys import CartanType, build_root_system, highest_root, parse_decimal, rho
 
 if TYPE_CHECKING:
     from .components import ComponentReport
@@ -68,12 +68,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _decimal(text: str) -> int:
-    """argparse type for a nonnegative integer written in ASCII decimal digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {text!r}")
-    if len(text) > _MAX_DIGITS:
-        raise argparse.ArgumentTypeError(f"{len(text)} digits, more than the limit {_MAX_DIGITS}")
-    return int(text)
+    """argparse type for a nonnegative integer, read by rootsys.parse_decimal."""
+    try:
+        return parse_decimal(text, "value")
+    except InputError as exc:  # a ValueError, which argparse would report in its own words
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _degree(text: str) -> int:

@@ -146,11 +146,18 @@ def ne(cone: ConeSpace, degree: int) -> list[EffectiveClass]:
 
     All nonnegative integer vectors v with <v, ell> = degree, ordered by
     ascending coordinate sum and then by decreasing leading coordinates.
-    ne(0) = {0}.
+    ne(0) = {0}.  A vector EffectiveClass refuses is an enumerator fault
+    and raises InternalError.
     """
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
-    return [EffectiveClass(v) for v in graded_solutions(cone.ell, degree)]
+    classes = []
+    for v in graded_solutions(cone.ell, degree):
+        try:
+            classes.append(EffectiveClass(v))
+        except InputError:
+            raise _off_stratum(v, degree) from None
+    return classes
 
 
 def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:

@@ -156,12 +156,10 @@ def lift(cone: ConeSpace, beta: tuple[int, ...], relative_degree: int) -> Lift:
       chern_degree + dim_x - e - 1 when d < n*l (e < 0);
     * dim_base_fiber: <beta, chern> + dim(G/P) + fiber_dim.
     """
-    ell = cone.ell
-    if len(beta) != len(ell):
-        raise InputError(f"beta has {len(beta)} entries, expected {len(ell)}")
+    _check_beta(cone, beta)
     n = cone.vertex_dim
     d = relative_degree
-    l = sum(map(mul, beta, ell))
+    l = sum(map(mul, beta, cone.ell))
     e, r = divmod(d - n * l, n + 1)
     if r:
         raise InputError(
@@ -178,7 +176,7 @@ def lift(cone: ConeSpace, beta: tuple[int, ...], relative_degree: int) -> Lift:
         nonempty = d == -l or d >= l
     else:
         nonempty = d >= -l
-    # One lift per component: tuple.__new__ skips the namedtuple's Python-level __new__.
+    # Run once per stratum and by every view below: tuple.__new__ skips the namedtuple's Python __new__.
     if not nonempty:
         return tuple.__new__(Lift, (l, chern_base, e, x, False, chern_degree, None, None, None))
     fiber = n * x + n - 1 if x < l else d + n

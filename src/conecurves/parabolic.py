@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import compress
 
 from .errors import InputError
-from .rootsys import _MAX_DIGITS, Root, RootSystem, Weight, highest_roots, pair, subsystem_comarks
+from .rootsys import Root, RootSystem, Weight, highest_roots, pair, parse_decimal, subsystem_comarks
 
 
 @dataclass(frozen=True)
@@ -102,22 +102,9 @@ def validate_ample(p: ParabolicData, lam: Weight) -> tuple[int, ...]:
     return tuple(degrees)
 
 
-def _parse_decimal(part: str, what: str) -> int:
-    """One comma-separated field: ASCII decimal digits, surrounding spaces allowed."""
-    p = part.strip()
-    if not (p.isascii() and p.isdigit()):
-        raise InputError(f"bad {what} {p!r}; expected ASCII decimal digits")
-    if len(p) > _MAX_DIGITS:
-        raise InputError(f"{what} has {len(p)} digits, more than the limit {_MAX_DIGITS}")
-    return int(p)
-
-
 def parse_alpha_p(text: str) -> tuple[int, ...]:
     """Parse comma-separated distinct 1-based node labels, e.g. "2" or "1,3"."""
-    s = text.strip()
-    if not s:
-        raise InputError("empty parabolic index list")
-    out = tuple(_parse_decimal(part, "parabolic index") for part in s.split(","))
+    out = tuple(parse_decimal(part.strip(), "parabolic index") for part in text.split(","))
     if len(set(out)) != len(out):
         raise InputError(f"repeated parabolic index in {text!r}")
     return out
@@ -125,7 +112,7 @@ def parse_alpha_p(text: str) -> tuple[int, ...]:
 
 def parse_lambda(text: str, rank: int) -> Weight:
     """Parse comma-separated full-rank weight coordinates, e.g. "1,0,2"."""
-    coords = tuple(_parse_decimal(part, "lambda coordinate") for part in text.strip().split(","))
+    coords = tuple(parse_decimal(part.strip(), "lambda coordinate") for part in text.split(","))
     if len(coords) != rank:
         raise InputError(f"lambda has {len(coords)} coordinates, expected {rank}")
     return coords

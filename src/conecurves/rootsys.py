@@ -57,9 +57,9 @@ class CartanType:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.series not in SERIES:
+        lo = _MIN_RANK.get(self.series)
+        if lo is None:
             raise InputError(f"unknown series {self.series!r}; expected one of {SERIES}")
-        lo = _MIN_RANK[self.series]
         hi = _MAX_RANK[self.series]
         if self.rank < lo:
             raise InputError(f"rank {self.rank} too small for series {self.series} (minimum {lo})")
@@ -72,18 +72,19 @@ class CartanType:
         s = text.strip()
         if len(s) < 2:
             raise InputError(f"cannot parse Cartan type {text!r}; expected e.g. 'A3'")
-        series = s[0].upper()
-        if series not in SERIES:
-            raise InputError(f"unknown series {s[0]!r} in {text!r}; expected one of {SERIES}")
-        digits = s[1:]
-        if not (digits.isascii() and digits.isdigit()):
-            raise InputError(f"cannot parse rank in {text!r}; expected ASCII decimal digits")
-        if len(digits) > _MAX_DIGITS:
-            raise InputError(f"rank has {len(digits)} digits, more than the limit {_MAX_DIGITS}")
-        return cls(series, int(digits))
+        return cls(s[0].upper(), parse_decimal(s[1:], "rank"))
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
+
+
+def parse_decimal(text: str, what: str) -> int:
+    """The integer `what` in `text`, unstripped: ASCII decimal digits, at most _MAX_DIGITS."""
+    if not (text.isascii() and text.isdigit()):
+        raise InputError(f"bad {what} {text!r}; expected ASCII decimal digits")
+    if len(text) > _MAX_DIGITS:
+        raise InputError(f"{what} has {len(text)} digits, more than the limit {_MAX_DIGITS}")
+    return int(text)
 
 
 @dataclass(frozen=True)

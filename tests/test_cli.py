@@ -337,49 +337,64 @@ def test_roots_above_the_largest_classical_ranks_exit_2_at_once(capsys, name):
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["gp", "--type", "A1_0", "--parabolic", "1"],
-        ["gp", "--type", "A+3", "--parabolic", "1"],
-        ["gp", "--type", "A٣", "--parabolic", "1"],
-        ["gp", "--type", "A3", "--parabolic", "1,1,2"],
-        ["gp", "--type", "A3", "--parabolic", "1,+2"],
-        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "1_0", "--vertex-dim", "1", "--degree", "2"],
-        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "+2", "--vertex-dim", "1", "--degree", "2"],
-        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "2", "--vertex-dim", "+2", "--degree", "2"],
-        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "2", "--vertex-dim", "1", "--degree", "1_0"],
-        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "2", "--vertex-dim", "1", "--degree", "٣"],
-        ["affine-compare", "--type", "A2", "--degree", "+2"],
-    ],
-    ids=["type-underscore", "type-sign", "type-arabic-digit", "repeated-node", "node-sign", "lambda-underscore",
-         "lambda-sign", "vertex-dim-sign", "degree-underscore", "degree-arabic-digit", "affine-degree-sign"],
-)
-def test_non_decimal_or_repeated_input_exits_2(capsys, argv):
+def integer_field(field, value):
+    """(argv, argparse's prefix, the field's name) for a good request with `value` in one integer field."""
+    cone = ["classify", "--type", "A1", "--parabolic", "1"]
+    return {
+        "type": (["gp", "--type", "A" + value, "--parabolic", "1"], "", "rank"),
+        "node": (["gp", "--type", "A3", "--parabolic", "1," + value], "", "parabolic index"),
+        "lambda": ([*cone, "--lambda", value, "--vertex-dim", "1", "--degree", "2"], "", "lambda coordinate"),
+        "vertex-dim": ([*cone, "--lambda", "2", "--vertex-dim", value, "--degree", "2"], "argument --vertex-dim: ",
+                       "value"),
+        "degree": ([*cone, "--lambda", "2", "--vertex-dim", "1", "--degree", value], "argument --degree: ", "value"),
+        "affine-degree": (["affine-compare", "--type", "A2", "--degree", value], "argument --degree: ", "value"),
+    }[field]
+
+
+FIELDS = ["type", "node", "lambda", "vertex-dim", "degree", "affine-degree"]
+
+
+def non_decimal_cases():
+    # Every integer field is read by rootsys.parse_decimal, so each refuses the same spellings in the same words.
+    for field in FIELDS:
+        for kind, value in [("sign", "+2"), ("underscore", "1_0"), ("arabic-digit", "٣"), ("empty", "")]:
+            argv, prefix, what = integer_field(field, value)
+            message = f"{prefix}bad {what} {value!r}; expected ASCII decimal digits"
+            if (field, kind) == ("type", "empty"):
+                message = "cannot parse Cartan type 'A'; expected e.g. 'A3'"  # too short to hold a rank
+            yield pytest.param(argv, message, id=f"{field}-{kind}")
+    yield pytest.param(
+        ["gp", "--type", "A3", "--parabolic", "1,1,2"], "repeated parabolic index in '1,1,2'", id="repeated-node"
+    )
+
+
+@pytest.mark.parametrize("argv,message", non_decimal_cases())
+def test_non_decimal_or_repeated_input_exits_2(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("input error:")
-    assert err.count("\n") == 1
+    assert err == f"input error: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["roots", "--type", "A" + "9" * 5000],
-        ["gp", "--type", "A3", "--parabolic", "9" * 5000],
-        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "9" * 5000, "--vertex-dim", "1", "--degree", "1"],
-        ["classify", "--type", "A1", "--parabolic", "1", "--lambda", "2", "--vertex-dim", "9" * 5000, "--degree", "1"],
-    ],
-    ids=["roots-type", "gp-parabolic", "classify-lambda", "classify-vertex-dim"],
-)
-def test_integer_longer_than_the_digit_limit_exits_2(capsys, argv):
+def too_long_cases():
+    nines = "9" * 5000
+    yield pytest.param(["roots", "--type", "A" + nines], "rank has 5000 digits", id="roots-type")
+    yield pytest.param(["gp", "--type", "A3", "--parabolic", nines], "parabolic index has 5000 digits", id="gp-parabolic")
+    for field, ident in [("lambda", "classify-lambda"), ("vertex-dim", "classify-vertex-dim")]:
+        argv, prefix, what = integer_field(field, nines)
+        yield pytest.param(argv, f"{prefix}{what} has 5000 digits", id=ident)
+    for field in FIELDS:
+        argv, prefix, what = integer_field(field, "9" * 101)
+        yield pytest.param(argv, f"{prefix}{what} has 101 digits", id=f"{field}-101-digits")
+
+
+@pytest.mark.parametrize("argv,message", too_long_cases())
+def test_integer_longer_than_the_digit_limit_exits_2(capsys, argv, message):
     # int() itself refuses more than 4,300 digits with a ValueError.
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("input error:") and "5000 digits, more than the limit" in err
-    assert err.count("\n") == 1
+    assert err == f"input error: {message}, more than the limit 100\n"
 
 
 E8_FLAG = ["--type", "E8", "--parabolic", "1,2,3,4,5,6,7,8", "--vertex-dim", "1"]

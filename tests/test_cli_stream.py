@@ -14,12 +14,15 @@ import pytest
 
 from conecurves import (
     CartanType,
+    EffectiveClass,
+    InputError,
     InternalError,
     build_cone,
     build_parabolic,
     build_root_system,
     classify,
     components,
+    ne,
 )
 from conecurves.cli import _WRITE_BATCH, main, report_to_dict
 from conecurves.components import iter_components, iter_rows
@@ -134,10 +137,20 @@ def test_row_outside_its_stratum_is_refused(monkeypatch, capsys, index, shifted)
     assert err == f"internal error: {message}\n"
 
 
-def test_negative_row_is_refused(monkeypatch):
+def test_negative_row_is_refused(monkeypatch, capsys):
     shifted_row(monkeypatch, 2, 1, (-1, 1))  # (0, 1) becomes (-1, 2), still of degree 2
-    with pytest.raises(InternalError, match=r"enumerated class \(-1, 2\) is not an effective class"):
-        tuple(iter_rows(A2_NO_LINES, 4))
+    message = "enumerated class (-1, 2) is not an effective class of degree 2"
+    runs = (lambda: tuple(iter_rows(A2_NO_LINES, 4)), lambda: classify(A2_NO_LINES, 4), lambda: ne(A2_NO_LINES, 2))
+    for run in runs:
+        with pytest.raises(InternalError) as exc:
+            run()
+        assert str(exc.value) == message
+    assert main(["classify", *A2_ARGV]) == 3
+    _, err = capsys.readouterr()
+    assert err == f"internal error: {message}\n"
+    # The same refusal of a class the caller built is an input error.
+    with pytest.raises(InputError, match=r"nonnegative coordinates, got \(-1,\)"):
+        EffectiveClass((-1,))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Root-system kernel: counts, pairings, highest roots, Weyl dimensions."""
 
 import hashlib
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -23,7 +24,9 @@ from conecurves.rootsys import (
     _symmetrizer,
     grade_key,
     highest_roots,
+    parse_decimal,
 )
+from conecurves.parabolic import parse_alpha_p, parse_lambda
 
 # Closed-form positive-root counts, frozen from the classical tables.
 POSITIVE_ROOT_COUNTS = {
@@ -326,6 +329,35 @@ def test_cartan_type_parse():
                 "A22", "B16", "C16", "D17", "A1000000000"):
         with pytest.raises(InputError):
             CartanType.parse(bad)
+
+
+def test_cartan_type_refuses_a_series_that_is_not_one_letter():
+    for series in ("AB", "", "Z", "a"):
+        with pytest.raises(InputError, match="unknown series"):
+            CartanType(series, 3)
+
+
+def test_every_integer_field_reads_100_digits_and_refuses_101():
+    padded = "0" * 99 + "3"
+    assert parse_decimal(padded, "x") == 3
+    assert CartanType.parse("A" + padded) == CartanType("A", 3)
+    assert parse_alpha_p("1, " + padded) == (1, 3)
+    assert parse_lambda(padded + ",0,0", 3) == (3, 0, 0)
+    message = "has 101 digits, more than the limit 100"
+    with pytest.raises(InputError, match=f"^x {message}$"):
+        parse_decimal("0" + padded, "x")
+    with pytest.raises(InputError, match=f"^rank {message}$"):
+        CartanType.parse("A0" + padded)
+    with pytest.raises(InputError, match=f"^parabolic index {message}$"):
+        parse_alpha_p("1, 0" + padded)
+    with pytest.raises(InputError, match=f"^lambda coordinate {message}$"):
+        parse_lambda("0" + padded + ",0,0", 3)
+
+
+@pytest.mark.parametrize("text", ["", " 3", "3 ", "+3", "-3", "1_0", "٣", "²", "3.0"])
+def test_parse_decimal_refuses_all_but_ascii_digits(text):
+    with pytest.raises(InputError, match=f"^bad x {re.escape(repr(text))}; expected ASCII decimal digits$"):
+        parse_decimal(text, "x")
 
 
 def test_root_listing_is_deterministic():
