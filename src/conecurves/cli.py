@@ -14,19 +14,21 @@ degree above _MAX_DEGREE while parsing, and ne and classify refuse, from
 the count alone and before enumerating, a request for more than
 _MAX_CLASSES classes or components (exit code 2).
 
-ne and classify stream their output: ne takes each class from
-components.graded_solutions and classify each component as a plain row
-from components.iter_rows, which walks every stratum through the same
-enumerator.  Rows are laid out by hand and written _WRITE_BATCH at a
-time while the enumeration runs, so neither command builds a record, a
-class list or a component list, memory stays flat as the degree grows,
-and the writes stay few when stdout is unbuffered (python -u,
-PYTHONUNBUFFERED=1).  Writing starts before the last stratum's lift
-and the last component's stratum are checked, so on exit code 3 stdout
-may hold a truncated document.  Once the enumeration ends, ne and
-classify compare the number of rows it gave (before the
+ne and classify stream their output from one checked stream: ne takes
+each class from components.checked_solutions, the enumerator with
+every vector checked to be nonnegative and of the requested degree, and
+classify takes each component as a plain row from components.iter_rows,
+which walks every stratum through the same checked stream.  Either stream passes through _counted, which refuses
+the request from the count alone before the first row is taken and,
+once the rows end, compares their number (before the
 --exclude-vertex-stratum filter) with the count from the generating
-function, and a mismatch exits 3 before the document is closed.
+function; a mismatch exits 3 before the document is closed.  Rows are
+laid out by hand and written _WRITE_BATCH at a time while the
+enumeration runs, so neither command builds a record, a class list or a
+component list, memory stays flat as the degree grows, and the writes
+stay few when stdout is unbuffered (python -u, PYTHONUNBUFFERED=1).
+Writing starts before the last row and the last stratum's lift are
+checked, so on exit code 3 stdout may hold a truncated document.
 
 Each command imports the modules it uses when it runs, so roots and gp
 load none of components, conegeom and affine, and ne and classify do not
@@ -83,15 +85,20 @@ def _degree(text: str) -> int:
     return degree
 
 
-def _check_size(count: int, what: str) -> None:
-    if count > _MAX_CLASSES:
-        raise InputError(f"the request has {count} {what}, more than the limit {_MAX_CLASSES}")
+def _counted(rows: Iterator, total: int, what: str) -> Iterator:
+    """The rows, refused before the first is taken when total is over _MAX_CLASSES.
 
-
-def _check_enumerated(enumerated: int, count: int, what: str) -> None:
-    """The enumerator against the generating function: they must agree on the number of rows."""
-    if enumerated != count:
-        raise InternalError(f"enumerated {enumerated} {what}, but the generating function counts {count}")
+    total is the generating-function count of the rows; when they end,
+    their number is compared with it, and a mismatch raises InternalError
+    before the caller writes anything more.
+    """
+    if total > _MAX_CLASSES:
+        raise InputError(f"the request has {total} {what}, more than the limit {_MAX_CLASSES}")
+    enumerated = 0
+    for enumerated, row in enumerate(rows, 1):
+        yield row
+    if enumerated != total:
+        raise InternalError(f"enumerated {enumerated} {what}, but the generating function counts {total}")
 
 
 def _fmt(vec) -> str:
@@ -141,7 +148,7 @@ def report_to_dict(report: ComponentReport) -> dict:
                 "alpha_prime": c.alpha_prime,
                 "vertex_multiplicity": c.vertex_multiplicity,
                 "relative_degree": c.tilde.relative_degree,
-                "e": c.vertex_multiplicity,  # iter_components checked it equal to e
+                "e": c.vertex_multiplicity,  # classify checked it equal to e
                 "dimension": c.dimension,
             }
             for c in report.components
@@ -221,14 +228,13 @@ def cmd_gp(args: argparse.Namespace) -> int:
 
 
 def cmd_ne(args: argparse.Namespace) -> int:
-    from .components import count_solutions, graded_solutions
+    from .components import checked_solutions, count_solutions
 
     cone = _make_cone(args)
     total = count_solutions(cone.ell, args.degree)
-    _check_size(total, "effective classes")
+    classes = _counted(checked_solutions(cone.ell, args.degree), total, "effective classes")
     row = "ne " + ",".join(["%d"] * len(cone.ell)) + "\n"
-    count = _write_rows("", map(row.__mod__, graded_solutions(cone.ell, args.degree)))
-    _check_enumerated(count, total, "effective classes")
+    count = _write_rows("", map(row.__mod__, classes))
     sys.stdout.write(f"count {count}\n")
     return 0
 
@@ -238,15 +244,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     from .conegeom import has_lines
 
     cone = _make_cone(args)
-    total = count_components(cone, args.degree)
-    _check_size(total, "components")
+    rows = _counted(iter_rows(cone, args.degree), count_components(cone, args.degree), "components")
     exclude = args.exclude_vertex_stratum
     dims: set[int] = set()
-    enumerated = 0
 
     def fields() -> Iterator[tuple[int, ...]]:
-        nonlocal enumerated
-        for enumerated, (beta, alpha_prime, m, rel, dim) in enumerate(iter_rows(cone, args.degree), 1):
+        for beta, alpha_prime, m, rel, dim in rows:
             if exclude and not any(beta):
                 continue
             dims.add(dim)
@@ -257,7 +260,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         head = "beta\talpha_prime\tvertex_multiplicity\trelative_degree\te\tdimension\n"
         row = ",".join(beta_slots) + "\t%d\t%d\t%d\t%d\t%d\n"
         _write_rows(head, map(row.__mod__, fields()))
-        _check_enumerated(enumerated, total, "components")
         return 0
     row = (
         "\n    {\n"
@@ -271,7 +273,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     )
     head = _json_head(cone, args.degree, "lines" if has_lines(cone) else "no_lines")
     count = _write_rows(head, map(row.__mod__, fields()), ",")
-    _check_enumerated(enumerated, total, "components")
     sys.stdout.write(
         ("\n  ]" if count else "]")
         + f',\n  "count": {count},\n  "equidimensional": {"true" if len(dims) <= 1 else "false"}\n}}\n'

@@ -26,12 +26,14 @@ for is that a class lies in its stratum, so each one is checked to have
 raises InternalError.
 
 Writers take plain rows from iter_rows, which walks each stratum through
-graded_solutions and builds no record, so their memory does not grow
-with the number of components.  The library API takes records:
-iter_components yields ComponentDescriptors stratum by stratum, each
-stratum listed by ne, and classify is the tuple of it.  Both share the
-stratum list and the per-stratum lift check, so they list the same
-components in the same order under the same checks.
+checked_solutions and builds no record, so their memory does not grow
+with the number of components.  checked_solutions is graded_solutions
+with each vector checked to be nonnegative and of its stratum's degree;
+`conecurves ne` prints it too, so every row the command line prints has
+passed that check.  The library API takes records: classify lists each
+stratum by ne and builds a ComponentDescriptor per component.  Both
+take the strata and the per-stratum lift check from one place, so they
+list the same components in the same order under the same checks.
 
 Index sets come from one enumerator, graded_solutions, which emits the
 vectors of a fixed weighted degree already in grade_key order (ascending
@@ -327,47 +329,59 @@ def _off_stratum(beta: tuple[int, ...], alpha_prime: int) -> InternalError:
     return InternalError(f"enumerated class {beta} is not an effective class of degree {alpha_prime}")
 
 
+def checked_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:
+    """The vectors of graded_solutions, each checked to be nonnegative with <v, weights> = target.
+
+    A vector that fails is an enumerator fault and raises InternalError.
+    iter_rows walks every stratum through this, and `conecurves ne`
+    prints it.
+    """
+    for v in graded_solutions(weights, target):
+        if sum(map(mul, v, weights)) != target or min(v) < 0:
+            raise _off_stratum(v, target)
+        yield v
+
+
 def iter_rows(cone: ConeSpace, degree: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
     """The components as plain rows (beta, alpha_prime, multiplicity, relative degree, dimension).
 
     The same components, in the same order and with the same checks, as
-    iter_components, but each stratum is walked through graded_solutions
-    and no record is built, so memory stays flat however many components
-    there are.  Every row is checked to have nonnegative coordinates and
-    <beta, ell> = alpha_prime; each non-empty stratum's first row is then
-    lifted and checked, and a row's dimension is the stratum's base plus
-    <beta, chern>.  The command-line writers format these rows.
+    classify, but each stratum is walked through checked_solutions and no
+    record is built, so memory stays flat however many components there
+    are.  Every row thus has nonnegative coordinates and <beta, ell> =
+    alpha_prime; each non-empty stratum's first row is then lifted and
+    checked, and a row's dimension is the stratum's base plus <beta,
+    chern>.  The command-line writers format these rows.
     """
     ell, chern = cone.ell, cone.parabolic.chern_degrees
     top = (cone.vertex_dim + 1) * degree + cone.dim_x
     for alpha_prime, mult, rel in _strata(cone, degree):
         base = None
-        for beta in graded_solutions(ell, alpha_prime):
-            if sum(map(mul, beta, ell)) != alpha_prime or min(beta) < 0:
-                raise _off_stratum(beta, alpha_prime)
+        for beta in checked_solutions(ell, alpha_prime):
             if base is None:
                 base = _stratum_base(cone, beta, mult, rel, top)
             yield beta, alpha_prime, mult, rel, base + sum(map(mul, beta, chern))
 
 
-def iter_components(cone: ConeSpace, degree: int) -> Iterator[ComponentDescriptor]:
-    """The components of the degree-`degree` curve space, one at a time.
+def classify(cone: ConeSpace, degree: int) -> ComponentReport:
+    """Classify the irreducible components of the degree-`degree` curve space.
 
     Strata come in order of decreasing d' (one stratum d' = degree with
-    lines), each listed by one call to ne, so memory is that of the
-    largest stratum rather than of the whole list.  Each descriptor
-    carries the lift of its generic curve to the resolution: relative
-    degree (n+1)*multiplicity + n*d', so the exceptional intersection
-    equals the vertex multiplicity.  Every component is checked to have
-    <beta, ell> = alpha_prime.  Before a stratum's first component is
-    yielded, one conegeom.lift call on its class is checked to have e
-    equal to the multiplicity, to be nonempty, to give the same
-    morphism-space dimension by both routes, and to reproduce the stated
-    dimension; a component's dimension is the stratum's base plus <beta,
-    chern>.  A failure raises InternalError.
+    lines), each listed by one call to ne.  Each descriptor carries the
+    lift of its generic curve to the resolution: relative degree
+    (n+1)*multiplicity + n*d', so the exceptional intersection equals the
+    vertex multiplicity.  Every component is checked to have <beta, ell>
+    = alpha_prime.  Before a stratum's first component is recorded, one
+    conegeom.lift call on its class is checked to have e equal to the
+    multiplicity, to be nonempty, to give the same morphism-space
+    dimension by both routes, and to reproduce the stated dimension; a
+    component's dimension is the stratum's base plus <beta, chern>.  A
+    failure raises InternalError.  equidimensional says whether the
+    components share one dimension.
     """
     ell, chern = cone.ell, cone.parabolic.chern_degrees
     top = (cone.vertex_dim + 1) * degree + cone.dim_x
+    found = []
     for alpha_prime, mult, rel in _strata(cone, degree):
         base = None
         for beta in ne(cone, alpha_prime):
@@ -376,17 +390,9 @@ def iter_components(cone: ConeSpace, degree: int) -> Iterator[ComponentDescripto
                 raise _off_stratum(b, alpha_prime)
             if base is None:
                 base = _stratum_base(cone, b, mult, rel, top)
-            yield ComponentDescriptor(beta, alpha_prime, mult, TildeClass(b, rel), base + sum(map(mul, b, chern)))
-
-
-def classify(cone: ConeSpace, degree: int) -> ComponentReport:
-    """Classify the irreducible components of the degree-`degree` curve space.
-
-    The components are those of iter_components, with each stratum's
-    lift and each component's stratum checked; equidimensional says
-    whether they share one dimension.
-    """
-    components = tuple(iter_components(cone, degree))
+            dim = base + sum(map(mul, b, chern))
+            found.append(ComponentDescriptor(beta, alpha_prime, mult, TildeClass(b, rel), dim))
+    components = tuple(found)
     return ComponentReport(
         cone,
         degree,

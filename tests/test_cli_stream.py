@@ -25,7 +25,7 @@ from conecurves import (
     ne,
 )
 from conecurves.cli import _WRITE_BATCH, main, report_to_dict
-from conecurves.components import iter_components, iter_rows
+from conecurves.components import iter_rows
 from conecurves.parabolic import minimal_ample
 
 RANK_AT_MOST_3 = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
@@ -64,13 +64,6 @@ def test_classify_json_equals_json_dumps_of_report_to_dict(type_name):
             doc.update(components=kept, count=len(kept), equidimensional=len({c["dimension"] for c in kept}) <= 1)
             want = json.dumps(doc, indent=2) + "\n"
             assert stdout_of(["classify", "--exclude-vertex-stratum", *argv, "--degree", str(degree)]) == want
-
-
-@pytest.mark.parametrize("type_name", RANK_AT_MOST_3)
-def test_iter_components_is_classify_one_at_a_time(type_name):
-    for cone, _ in grid(type_name):
-        for degree in range(5):
-            assert tuple(iter_components(cone, degree)) == classify(cone, degree).components
 
 
 # No lines: strata d' = 14 and 12 hold 3,432 + 1,716 rows (d' = 13 is empty), so
@@ -118,6 +111,17 @@ def shifted_row(monkeypatch, stratum, index, shift):
 # A2 full flag, ell = (2, 2), degree 4: strata d' = 4 (3 rows), 2 (2 rows), 0 (1 row).
 A2_NO_LINES = build_cone(build_parabolic(build_root_system(CartanType.parse("A2")), (1, 2)), (2, 2), 1)
 A2_ARGV = ["--type", "A2", "--parabolic", "1,2", "--lambda", "2,2", "--vertex-dim", "1", "--degree", "4"]
+# The d' = 2 stratum of the same cone, listed by the ne command.
+A2_NE_ARGV = ["ne", *A2_ARGV[:-1], "2"]
+
+
+def refused_by_the_cli(capsys, message):
+    """classify and ne each exit 3 with the one stderr line `message` and write no count."""
+    for argv in (["classify", *A2_ARGV], A2_NE_ARGV):
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert err == f"internal error: {message}\n"
+        assert "count" not in out
 
 
 @pytest.mark.parametrize(
@@ -132,9 +136,7 @@ def test_row_outside_its_stratum_is_refused(monkeypatch, capsys, index, shifted)
         with pytest.raises(InternalError) as exc:
             run()
         assert str(exc.value) == message
-    assert main(["classify", *A2_ARGV]) == 3
-    _, err = capsys.readouterr()
-    assert err == f"internal error: {message}\n"
+    refused_by_the_cli(capsys, message)
 
 
 def test_negative_row_is_refused(monkeypatch, capsys):
@@ -145,9 +147,7 @@ def test_negative_row_is_refused(monkeypatch, capsys):
         with pytest.raises(InternalError) as exc:
             run()
         assert str(exc.value) == message
-    assert main(["classify", *A2_ARGV]) == 3
-    _, err = capsys.readouterr()
-    assert err == f"internal error: {message}\n"
+    refused_by_the_cli(capsys, message)
     # The same refusal of a class the caller built is an input error.
     with pytest.raises(InputError, match=r"nonnegative coordinates, got \(-1,\)"):
         EffectiveClass((-1,))

@@ -26,7 +26,7 @@ from conecurves import (
     ne,
     total_degree,
 )
-from conecurves.components import iter_components, iter_rows
+from conecurves.components import iter_rows
 from conecurves.parabolic import minimal_ample
 
 
@@ -259,8 +259,9 @@ def row_of(c):
 
 @pytest.mark.parametrize("type_name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"])
 def test_iter_rows_are_iter_components_without_records(type_name):
-    # Every marked diagram of the type, ell in {min, 2 min}, n in {1, 2}:
-    # lines cones (min) and no-lines cones (2 min) alike.
+    # iter_rows against the records of classify, on every marked diagram of
+    # the type, ell in {min, 2 min}, n in {1, 2}: lines cones (min) and
+    # no-lines cones (2 min) alike.
     rs = build_root_system(CartanType.parse(type_name))
     for size in range(1, rs.rank + 1):
         for nodes in combinations(range(1, rs.rank + 1), size):
@@ -270,7 +271,7 @@ def test_iter_rows_are_iter_components_without_records(type_name):
                     cone = build_cone(p, lam, n)
                     for degree in range(7):
                         rows = tuple(iter_rows(cone, degree))
-                        assert rows == tuple(map(row_of, iter_components(cone, degree)))
+                        assert rows == tuple(map(row_of, classify(cone, degree).components))
                         assert all(type(r[0]) is tuple for r in rows)
 
 
@@ -279,7 +280,7 @@ def test_iter_rows_on_the_e8_full_flag():
     p = build_parabolic(rs, tuple(range(1, 9)))
     cone = build_cone(p, minimal_ample(p), 1)
     for degree in range(5):
-        assert tuple(iter_rows(cone, degree)) == tuple(map(row_of, iter_components(cone, degree)))
+        assert tuple(iter_rows(cone, degree)) == tuple(map(row_of, classify(cone, degree).components))
 
 
 def test_iter_rows_rejects_negative_degree():
