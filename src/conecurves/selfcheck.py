@@ -1,9 +1,12 @@
 """Built-in oracle suites: independent recomputations of the library's promises.
 
-Each suite recomputes a family of results by a route that does not share
-code with the implementation it checks (closed-form count tables, naive
-box scans, hand-counted moduli dimensions) and records every
-disagreement.  The CLI `selfcheck` command runs all suites.
+Each oracle check recomputes a result by a route that shares no code
+with the implementation it checks (closed-form count tables, naive box
+scans, a toric count of binary forms, hand-counted moduli dimensions)
+and records every disagreement.  The one exception is labelled where it
+runs: half of lines-dichotomy's checks restate has_lines through
+conegeom.lemma_equiv_check and cannot disagree with it.  The CLI
+`selfcheck` command runs all suites.
 """
 
 from __future__ import annotations
@@ -89,7 +92,13 @@ def _suite_root_counts(res: SuiteResult) -> None:
 
 
 def _suite_lines_dichotomy(res: SuiteResult) -> None:
-    """No lines iff every embedding degree is at least 2, and lines iff a degree-1 class exists."""
+    """Lines iff a degree-1 class exists, plus a restatement of has_lines.
+
+    The oracle half compares has_lines with count_solutions(ell, 1) > 0,
+    the generating function's count of degree-1 classes.  The other half,
+    conegeom.lemma_equiv_check, restates has_lines (min(ell) == 1 against
+    all(ell >= 2)) and is kept as a smoke test, not counted as an oracle.
+    """
     for ctype in all_types(3):
         rs = rootsys.build_root_system(ctype)
         for subset in _nonempty_subsets(rs.rank):
@@ -104,40 +113,50 @@ def _suite_lines_dichotomy(res: SuiteResult) -> None:
                     res.failures.append(f"{ctype} {subset} ell={ell}: has_lines disagrees with the degree-1 count")
 
 
+def _toric_dimension(m: int, ell: int, n: int, a: int, e: int) -> int | None:
+    """Dimension of the maps P^1 -> P(O^n + O(ell)) over P^m in class (a, e), or None if there are none.
+
+    a is the base degree and e the degree on the exceptional divisor E.
+    The resolution is a smooth toric variety of Picard rank 2, and a map
+    is a tuple of binary forms modulo (C*)^2 (Cox, "The functor of a
+    smooth toric variety", 1995): m + 1 forms of degree a, n of degree
+    x = ell*a + e, and one of degree e that cuts out E.  When e < 0 that
+    form vanishes and the map lies in E = P^m x P^(n-1), which needs
+    x >= 0, and x = 0 when n = 1.
+    """
+    x = ell * a + e
+    if e >= 0:
+        return (m + 1) * (a + 1) + n * (x + 1) + e - 1
+    if x < 0 or (n == 1 and x):
+        return None
+    return (m + 1) * (a + 1) + n * (x + 1) - 2
+
+
 def _suite_dimension_cross_check(res: SuiteResult) -> None:
-    """Branch dimension formula vs base-plus-fiber route on every nonempty class."""
-    for ctype in all_types(3):
-        rs = rootsys.build_root_system(ctype)
-        for subset in _nonempty_subsets(rs.rank):
-            p = parabolic.build_parabolic(rs, subset)
-            k = len(subset)
-            betas = [b for b in product(range(4), repeat=k) if sum(b) <= 3]
-            for ell in product(range(1, 4), repeat=k):
-                for n in (1, 2, 3):
-                    cone = conegeom.cone_from_ell(p, ell, n)
-                    for beta in betas:
-                        for d in range(-12, 13):
-                            t = conegeom.TildeClass(beta, d)
-                            l = conegeom.base_degree(cone, beta)
-                            if (d - n * l) % (n + 1):
-                                continue  # class does not exist
-                            if not conegeom.is_nonempty(cone, t):
-                                continue
-                            res.checks += 1
-                            e = conegeom.e_intersection(cone, t)
-                            chern = conegeom.chern_degree_tilde(cone, t)
-                            branch = chern + cone.dim_x if d >= n * l else chern + cone.dim_x - e - 1
-                            route = (
-                                sum(b * c for b, c in zip(beta, p.chern_degrees))
-                                + p.dim_gp
-                                + conegeom.fiber_dim(cone, t)
-                            )
-                            got = conegeom.dim_mor_tilde(cone, t)
-                            if not branch == route == got:
-                                res.failures.append(
-                                    f"{ctype} {subset} ell={ell} n={n} beta={beta} d={d}: "
-                                    f"{branch} / {route} / {got}"
-                                )
+    """Classes on the resolution of cones over P^m against the toric count of binary forms.
+
+    On A_m node 1 (m <= 4, ell <= 3, n <= 3): lift's nonemptiness and both
+    of its dimension routes for base degree a <= 4 and every E-degree
+    from -ell*a - 2 to 3, and every component classify lists at degrees
+    0-6, vertex strata included, whose E-degree is its multiplicity.
+    """
+    for m in range(1, 5):
+        p = parabolic.build_parabolic(rootsys.build_root_system(rootsys.CartanType("A", m)), (1,))
+        for ell, n in product(range(1, 4), repeat=2):
+            cone = conegeom.cone_from_ell(p, (ell,), n)
+            for a in range(5):
+                for e in range(-ell * a - 2, 4):
+                    res.checks += 1
+                    want = _toric_dimension(m, ell, n, a, e)
+                    lf = conegeom.lift(cone, (a,), (n + 1) * e + n * ell * a)
+                    if (lf.nonempty, lf.dim_branch, lf.dim_base_fiber) != (want is not None, want, want):
+                        res.failures.append(f"P^{m} ell={ell} n={n} a={a} e={e}: lift {lf}, toric count {want}")
+            for degree in range(7):
+                for c in components.classify(cone, degree).components:
+                    res.checks += 1
+                    want = _toric_dimension(m, ell, n, c.beta.coeffs[0], c.vertex_multiplicity)
+                    if c.dimension != want:
+                        res.failures.append(f"P^{m} ell={ell} n={n} degree {degree}: {c}, toric count {want}")
 
 
 def _box_scan(ell: tuple[int, ...], degree: int) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import types
 
 import pytest
 
-from conecurves import cli, components, rootsys
+from conecurves import cli, components, conegeom, parabolic, rootsys
 from conecurves.cli import main, report_to_dict
 from conecurves import CartanType, build_cone, build_parabolic, build_root_system, classify
 from conecurves.parabolic import parse_alpha_p, parse_lambda
@@ -219,7 +220,7 @@ def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, ["selfcheck"])
     elapsed = time.perf_counter() - start
     assert code == 0
-    assert elapsed < 10.0
+    assert elapsed < 2.0
     lines = out.splitlines()
     assert lines[-1] == "selfcheck PASS"
     assert any(l.startswith("root-counts:") for l in lines)
@@ -247,6 +248,41 @@ def test_selfcheck_detects_a_wrong_count(monkeypatch, capsys):
     code, out, _ = run(capsys, ["selfcheck"])
     assert code == 3
     assert "selfcheck FAIL" in out
+
+
+def _empty_point_lifts(monkeypatch):
+    """n = 1 classes with e < 0 (the d = -l point) come back empty."""
+    real = conegeom.lift
+
+    def lift(cone, beta, relative_degree):
+        lf = real(cone, beta, relative_degree)
+        if cone.vertex_dim == 1 and lf.e < 0:
+            return lf._replace(nonempty=False, fiber_dim=None, dim_branch=None, dim_base_fiber=None)
+        return lf
+
+    monkeypatch.setattr(conegeom, "lift", lift)
+
+
+def _raise_a3_node_1_chern_degree(monkeypatch):
+    """A3 node 1 (P^3) gets Chern degree 5 in place of 4."""
+    real = parabolic.build_parabolic
+
+    def build(rs, alpha_p):
+        p = real(rs, alpha_p)
+        if rs.cartan_type == CartanType("A", 3) and p.alpha_p == (1,):
+            return dataclasses.replace(p, chern_degrees=(p.chern_degrees[0] + 1,))
+        return p
+
+    monkeypatch.setattr(parabolic, "build_parabolic", build)
+
+
+@pytest.mark.parametrize("mutate", [_empty_point_lifts, _raise_a3_node_1_chern_degree])
+def test_selfcheck_dimension_suite_catches_a_wrong_resolution_class(mutate, monkeypatch, capsys):
+    mutate(monkeypatch)
+    code, out, _ = run(capsys, ["selfcheck"])
+    assert code == 3
+    (line,) = [l for l in out.splitlines() if l.startswith("dimension-cross-check:")]
+    assert not line.endswith(" 0 failures"), line
 
 
 def test_module_entry_point_runs():
