@@ -221,6 +221,9 @@ def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[in
 
 
 # Targets up to this take the recurrence without weighing the halving route.
+# Since f >= k and D >= k (see count_solutions), the estimate is at least
+# k * (1 + _HALVING_FACTOR_COST) * bitlen(target) = 17k * bitlen(target), which
+# is at least k * target for every target <= 119; so this only skips the estimate.
 _HALVING_MIN_TARGET = 64
 # Fixed cost, in coefficient operations, of multiplying in one factor on the halving route.
 _HALVING_FACTOR_COST = 16

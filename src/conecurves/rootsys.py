@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import lcm, gcd
-from operator import add, gt
+from operator import gt
 
 from .errors import InputError, InternalError
 
@@ -207,40 +207,37 @@ def _symmetrizer(C: Matrix) -> tuple[int, ...]:
 
 
 def _generate_positive_roots(C: Matrix) -> tuple[Root, ...]:
-    """All positive roots by root-string closure from the simple roots.
+    """All positive roots by simple-reflection closure from the simple roots.
 
-    For a known root g and simple root alpha_i, let p be the number of
-    consecutive steps g - alpha_i, g - 2 alpha_i, ... that stay roots;
-    then g + alpha_i is a root iff p - <alpha_i^vee, g> > 0.  Working
-    upward by height, every root is reached.  Each root is kept with its
-    pairings <alpha_j^vee, g> for every j: g + alpha_i pairs as g plus
-    column i of the Cartan matrix, so the test reads one entry q, and
-    the walk down stops as soon as p > q is decided (after at most q + 1
-    steps, none when q < 0).
+    Every positive root that is not simple is lowered by some simple
+    reflection (Humphreys, Introduction to Lie Algebras, 10.2-10.3): it
+    pairs positively with some alpha_i, and s_i permutes the positive
+    roots other than alpha_i.  So each positive root is reached from a
+    simple root by reflections that raise the height, and a root g has
+    the root s_i(g) = g - q alpha_i above it exactly when
+    q = <alpha_i^vee, g> < 0.  Each root is kept with its pairings
+    <alpha_j^vee, g> for every j: s_i(g) pairs as g minus q times
+    column i of the Cartan matrix, so the test reads one entry.
     """
     n = len(C)
     columns = tuple(zip(*C))
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     pairings: dict[Root, tuple[int, ...]] = dict(zip(simples, columns))
     frontier: list[Root] = simples
-    height = 1
+    rounds = 0
     while frontier:
-        height += 1
-        if height > _MAX_HEIGHT:
+        rounds += 1
+        # A root found in round r has height >= r + 1, so a finite type stops within its highest root's height.
+        if rounds > _MAX_HEIGHT:
             raise InternalError("root generation did not terminate; invalid Cartan data")
         grown: list[Root] = []
         for g in frontier:
             gp = pairings[g]
             for i, q in enumerate(gp):
-                down = list(g)
-                for _ in range(q + 1):
-                    down[i] -= 1
-                    if tuple(down) not in pairings:
-                        break
-                else:
-                    up = g[:i] + (g[i] + 1,) + g[i + 1:]
+                if q < 0:
+                    up = g[:i] + (g[i] - q,) + g[i + 1:]
                     if up not in pairings:
-                        pairings[up] = tuple(map(add, gp, columns[i]))
+                        pairings[up] = tuple([p - q * c for p, c in zip(gp, columns[i])])
                         grown.append(up)
         if len(pairings) > _MAX_ROOTS:
             raise InternalError("too many positive roots generated; invalid Cartan data")

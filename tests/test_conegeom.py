@@ -166,6 +166,16 @@ def test_lift_fields():
         lift(quad, (1,), 1)
 
 
+def test_lift_names_the_non_divisible_remainder():
+    for ell, n, d, message in (
+        ((1,), 1, 0, "no class with relative degree 0 over a base class of degree 1: -1 is not divisible by 2"),
+        ((2,), 2, 5, "no class with relative degree 5 over a base class of degree 2: 1 is not divisible by 3"),
+    ):
+        with pytest.raises(InputError) as caught:
+            lift(make_cone("A1", (1,), ell, n), (1,), d)
+        assert str(caught.value) == message
+
+
 def test_dim_mor_rejects_empty_class():
     quad = make_cone("A1", (1,), (2,), 1)
     with pytest.raises(InputError):

@@ -83,6 +83,70 @@ def test_target_zero_single_weight_and_unreachable_target():
     assert list(graded_solutions((5, 7), 3)) == []
 
 
+FILL_CODE = next(c for c in graded_solutions.__code__.co_consts if getattr(c, "co_name", None) == "fill")
+
+
+def fill_frames(weights, target):
+    """Distinct `fill` frames that listing graded_solutions(weights, target) opens."""
+    frames = set()
+    outer = sys.getprofile()
+
+    def profile(frame, event, arg):
+        if frame.f_code is FILL_CODE:
+            frames.add(frame)
+
+    sys.setprofile(profile)
+    try:
+        for _ in graded_solutions(weights, target):
+            pass
+    finally:
+        sys.setprofile(outer)
+    return len(frames)
+
+
+def vectors_with_sum_at_most(length, s):
+    if length == 0:
+        yield ()
+        return
+    for v in range(s + 1):
+        for rest in vectors_with_sum_at_most(length - 1, s - v):
+            yield (v,) + rest
+
+
+def feasible_prefixes(weights, target):
+    """Brute force: how many `fill` frames listing the solutions needs.
+
+    Each coordinate sum s whose degree the weights can reach, then each
+    prefix of length at most k - 2 whose remainder (s', t') the suffix
+    can still reach: min(suffix) * s' <= t' <= max(suffix) * s'.  The
+    last two coordinates are solved inside their frame.
+    """
+    k = len(weights)
+
+    def reachable(j, s, t):
+        return min(weights[j:]) * s <= t <= max(weights[j:]) * s
+
+    count = 0
+    for s in range(target + 1):
+        for j in range(max(k - 1, 1)):
+            for prefix in vectors_with_sum_at_most(j, s):
+                t = target - sum(a * b for a, b in zip(prefix, weights))
+                count += reachable(j, s - sum(prefix), t)
+    return count
+
+
+def test_the_enumerator_opens_exactly_the_feasible_prefixes():
+    # Pins the work, not just the rows: a looser bound lists the same rows
+    # through more frames.
+    for k in (1, 2, 3, 4):
+        for weights in product(range(1, 5), repeat=k):
+            for target in range(11):
+                assert fill_frames(weights, target) == feasible_prefixes(weights, target), (weights, target)
+    p = build_parabolic(build_root_system(CartanType("E", 8)), tuple(range(1, 9)))
+    ell = build_cone(p, minimal_ample(p), 1).ell
+    assert fill_frames(ell, 8) == feasible_prefixes(ell, 8) == comb(15, 6) == 5005
+
+
 def test_ne_length_is_the_generating_function_coefficient():
     rs = build_root_system(CartanType("E", 8))
     p = build_parabolic(rs, tuple(range(1, 9)))
@@ -141,12 +205,13 @@ def test_weights_two_and_one_count_at_the_degree_limit():
 
 
 def test_small_targets_never_take_the_halving_route(no_halving):
+    # Up to 119 the estimate is at least k * target; at weights (1,) and 119 it is equal.
     for k in (1, 2, 3):
         for weights in product(range(1, 6), repeat=k):
-            want = series(weights, 64)
-            assert [count_solutions(weights, t) for t in range(65)] == want, weights
+            want = series(weights, 119)
+            assert [count_solutions(weights, t) for t in range(120)] == want, weights
     for weights in ((1,), (1,) * 21, E8_COMARKS):
-        assert count_solutions(weights, 64) == series_coefficient(weights, 64)
+        assert count_solutions(weights, 119) == series_coefficient(weights, 119)
 
 
 def test_a_huge_weight_takes_the_recurrence_at_once(no_halving):
@@ -163,8 +228,9 @@ def test_large_targets_with_small_weights_take_the_halving_route(monkeypatch):
     monkeypatch.setattr(components, "_count_by_halving", lambda w, t: taken.append((w, t)) or real(w, t))
     assert count_solutions((2, 1), 1500) == 751  # the A1 conic count at d = 1500
     assert count_solutions((1,), 1500) == 1
+    assert count_solutions((1,), 120) == 1  # the estimate 119 is below k * target
     assert count_solutions(E8_COMARKS, 100_000) == series_coefficient(E8_COMARKS, 100_000)
-    assert taken == [((2, 1), 1500), ((1,), 1500), (E8_COMARKS, 100_000)]
+    assert taken == [((2, 1), 1500), ((1,), 1500), ((1,), 120), (E8_COMARKS, 100_000)]
 
 
 def cli(*argv):

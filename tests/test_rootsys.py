@@ -265,8 +265,10 @@ def test_positive_roots_of_every_admitted_type_are_unchanged():
     [
         # Affine A1^(1): the real roots climb forever.
         (((2, -2), (-2, 2)), "did not terminate"),
-        # Hyperbolic: the roots grow past the cap before the height guard.
-        (((2, -3), (-3, 2)), "too many positive roots"),
+        # Hyperbolic rank 3: 381 real roots by round 6, past the cap before the round guard.
+        (((2, -3, -3), (-3, 2, -3), (-3, -3, 2)), "too many positive roots"),
+        # Hyperbolic rank 2: reflections add two real roots a round, 130 at the round cap.
+        (((2, -3), (-3, 2)), "did not terminate"),
     ],
 )
 def test_root_generation_guards(cartan, message):
