@@ -28,6 +28,8 @@ from .conegeom import ConeSpace
 from .errors import InputError
 from .rootsys import CartanType, build_root_system, highest_root, subsystem_comarks
 
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class AffineData:
@@ -66,6 +68,23 @@ class AffineComparison:
     factor_nodes: tuple[tuple[int, ...], ...]
     factor_comarks: tuple[tuple[int, ...], ...]
 
+    # One per compare_ne_ir call: a hand-written __init__ (dataclass keeps it) is cheaper than the generated one.
+    def __init__(
+        self,
+        degree: int,
+        ne_count: int,
+        ir_count: int,
+        match: bool,
+        factor_nodes: tuple[tuple[int, ...], ...],
+        factor_comarks: tuple[tuple[int, ...], ...],
+    ) -> None:
+        _set(self, "degree", degree)
+        _set(self, "ne_count", ne_count)
+        _set(self, "ir_count", ir_count)
+        _set(self, "match", match)
+        _set(self, "factor_nodes", factor_nodes)
+        _set(self, "factor_comarks", factor_comarks)
+
 
 def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:
     """Count effective classes of a degree against level-counted affine weights.
@@ -82,16 +101,11 @@ def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:
     """
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
-    if any(l != 1 for l in cone.ell):
+    ell = cone.ell
+    if ell.count(1) != len(ell):
         raise InputError("the comparison is defined for the minimal ample embedding (all degrees 1)")
     factors = cone.parabolic.factors
-    ne_count = components.count_solutions(cone.ell, degree)
-    ir_count = components.count_solutions(tuple(c for _, vec in factors for c in vec), degree)
-    return AffineComparison(
-        degree,
-        ne_count,
-        ir_count,
-        ne_count == ir_count,
-        tuple(nodes for nodes, _ in factors),
-        tuple(vec for _, vec in factors),
-    )
+    nodes, vecs = zip(*factors) if factors else ((), ())
+    ne_count = components.count_solutions(ell, degree)
+    ir_count = components.count_solutions(sum(vecs, ()), degree)
+    return AffineComparison(degree, ne_count, ir_count, ne_count == ir_count, nodes, vecs)

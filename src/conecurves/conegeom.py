@@ -46,17 +46,22 @@ class ConeSpace:
     ell: tuple[int, ...]
     vertex_dim: int
 
-    def __post_init__(self) -> None:
-        if self.vertex_dim < 1:
+    # One per cone at set-up: a hand-written __init__ (dataclass keeps it, and replace() runs it)
+    # is cheaper than the generated one plus a __post_init__.
+    def __init__(self, parabolic: ParabolicData, ell: tuple[int, ...], vertex_dim: int) -> None:
+        if vertex_dim < 1:
             raise InputError(
                 "vertex_dim must be >= 1; with no vertex summand the space is the base variety itself"
             )
-        if len(self.ell) != len(self.parabolic.alpha_p):
+        if len(ell) != len(parabolic.alpha_p):
             raise InputError(
-                f"ell has {len(self.ell)} entries, expected {len(self.parabolic.alpha_p)} (one per marked node)"
+                f"ell has {len(ell)} entries, expected {len(parabolic.alpha_p)} (one per marked node)"
             )
-        if any(l < 1 for l in self.ell):
-            raise InputError(f"ell = {self.ell}: embedding degrees must all be >= 1")
+        if ell and min(ell) < 1:
+            raise InputError(f"ell = {ell}: embedding degrees must all be >= 1")
+        _set(self, "parabolic", parabolic)
+        _set(self, "ell", ell)
+        _set(self, "vertex_dim", vertex_dim)
 
     @property
     def dim_x(self) -> int:

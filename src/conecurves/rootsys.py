@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from math import lcm, gcd
-from operator import gt
+from operator import gt, mul
 
 from .errors import InputError, InternalError
 
@@ -260,8 +260,7 @@ def pair(rs: RootSystem, i: int, root: Root) -> int:
         raise InputError(f"simple-root index {i} out of range 1..{rs.rank}")
     if len(root) != rs.rank:
         raise InputError(f"root has {len(root)} coordinates, expected {rs.rank}")
-    row = rs.cartan[i - 1]
-    return sum(row[j] * root[j] for j in range(rs.rank))
+    return sum(map(mul, rs.cartan[i - 1], root))
 
 
 def rho(rs: RootSystem) -> Weight:

@@ -8,9 +8,12 @@ import pytest
 
 from conecurves import parabolic
 from conecurves import (
+    AffineComparison,
     CartanType,
+    ConeSpace,
     InputError,
     InternalError,
+    ParabolicData,
     build_cone,
     build_parabolic,
     build_root_system,
@@ -131,10 +134,19 @@ def test_compare_ne_ir_never_raises_on_valid_input():
 
 
 def test_compare_ne_ir_requires_minimal_ample():
-    rs = build_root_system(CartanType("A", 1))
-    p = build_parabolic(rs, (1,))
-    with pytest.raises(InputError):
-        compare_ne_ir(cone_from_ell(p, (2,), 1), 1)
+    rs = build_root_system(CartanType("A", 2))
+    for nodes, ell in (((1,), (2,)), ((1, 2), (1, 2)), ((1, 2), (3, 1))):
+        with pytest.raises(InputError) as exc:
+            compare_ne_ir(cone_from_ell(build_parabolic(rs, nodes), ell, 1), 1)
+        assert str(exc.value) == "the comparison is defined for the minimal ample embedding (all degrees 1)"
+
+
+def test_compare_ne_ir_without_marked_nodes_has_no_factors():
+    # No marked node: no factor, and both counts are those of the empty weight vector.
+    p = ParabolicData(build_root_system(CartanType("A", 2)), (), (), (), 0)
+    cone = ConeSpace(p, (), 1)
+    assert compare_ne_ir(cone, 0) == AffineComparison(0, 1, 1, True, (), ())
+    assert compare_ne_ir(cone, 2) == AffineComparison(2, 0, 0, True, (), ())
 
 
 def test_compare_ne_ir_split_picard_factors():

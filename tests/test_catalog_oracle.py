@@ -1,10 +1,11 @@
 """Every admitted type against the benchmark's independent oracle.
 
-bench/checks.py derives Chern degrees, dim G/P, index sets and component
-values without calling the library.  This sweep runs it over the whole
-type catalogue, ranks 9 to 21 included: seeded random cones on every
-type, and the full flag of the largest classical types.  The seeds are
-fixed here, so a failure names a reproducible query.
+bench/checks.py derives Chern degrees, dim G/P, index sets, component
+values and the minimal-ample affine comparison without calling the
+library.  This sweep runs it over the whole type catalogue, ranks 9 to
+21 included: seeded random cones on every type, and the full flag of
+the largest classical types.  The seeds are fixed here, so a failure
+names a reproducible query.
 
 The sweep is sized to run in about 3 s: degrees are lowered until a
 cone has at most MAX_COMPONENTS components, and the TSV writer, whose
@@ -29,6 +30,7 @@ if str(BENCH) not in sys.path:
 
 import checks  # noqa: E402
 from checks import Query  # noqa: E402
+from workloads import minimal  # noqa: E402
 
 from conecurves import (  # noqa: E402
     CartanType,
@@ -36,6 +38,7 @@ from conecurves import (  # noqa: E402
     build_parabolic,
     build_root_system,
     classify,
+    compare_ne_ir,
     count_components,
     ne,
 )
@@ -124,6 +127,8 @@ def problems_of(oracle, library, q, tsv):
         bad += checks.check_cli_classify_tsv(oracle, q, cli_stdout(q, "tsv"))
     bad += checks.check_ne(oracle, q.ell, q.degree, ne(cone, q.degree))
     bad += checks.check_count(oracle, q, count_components(cone, q.degree))
+    m = minimal(q)
+    bad += checks.check_compare(oracle, m, compare_ne_ir(library.cone(m), q.degree))
     return [f"{q}: {p}" for p in bad]
 
 

@@ -8,8 +8,10 @@ import pytest
 
 from conecurves import components
 from conecurves import (
+    AffineComparison,
     CartanType,
     ComponentDescriptor,
+    ConeSpace,
     EffectiveClass,
     InputError,
     InternalError,
@@ -86,24 +88,43 @@ def test_effective_class_rejects_negative():
     assert EffectiveClass(()).coeffs == ()
 
 
-# The per-class records have hand-written constructors; each must still
-# behave as the frozen, slotted dataclass it is declared to be.
+A1_POINT = build_parabolic(build_root_system(CartanType("A", 1)), (1,))
+
+
+# The records with hand-written constructors must still behave as the
+# frozen dataclasses they are declared to be; the per-class ones are slotted.
 @pytest.mark.parametrize(
-    "cls,args,change,text",
+    "cls,args,change,text,slotted",
     [
-        (EffectiveClass, ((2, 0, 1),), ("coeffs", (0, 3)), "EffectiveClass(coeffs=(2, 0, 1))"),
-        (TildeClass, ((2, 1), -3), ("relative_degree", 5), "TildeClass(beta=(2, 1), relative_degree=-3)"),
+        (EffectiveClass, ((2, 0, 1),), ("coeffs", (0, 3)), "EffectiveClass(coeffs=(2, 0, 1))", True),
+        (TildeClass, ((2, 1), -3), ("relative_degree", 5), "TildeClass(beta=(2, 1), relative_degree=-3)", True),
         (
             ComponentDescriptor,
             (EffectiveClass((1,)), 1, 0, TildeClass((1,), 1), 4),
             ("dimension", 5),
             "ComponentDescriptor(beta=EffectiveClass(coeffs=(1,)), alpha_prime=1, vertex_multiplicity=0, "
             "tilde=TildeClass(beta=(1,), relative_degree=1), dimension=4)",
+            True,
+        ),
+        (
+            AffineComparison,
+            (3, 1, 4, False, ((1,),), ((1, 1),)),
+            ("ir_count", 1),
+            "AffineComparison(degree=3, ne_count=1, ir_count=4, match=False, factor_nodes=((1,),), "
+            "factor_comarks=((1, 1),))",
+            False,
+        ),
+        (
+            ConeSpace,
+            (A1_POINT, (2,), 1),
+            ("vertex_dim", 2),
+            f"ConeSpace(parabolic={A1_POINT!r}, ell=(2,), vertex_dim=1)",
+            False,
         ),
     ],
-    ids=["EffectiveClass", "TildeClass", "ComponentDescriptor"],
+    ids=["EffectiveClass", "TildeClass", "ComponentDescriptor", "AffineComparison", "ConeSpace"],
 )
-def test_record_constructors_keep_the_dataclass_contract(cls, args, change, text):
+def test_record_constructors_keep_the_dataclass_contract(cls, args, change, text, slotted):
     names = [f.name for f in fields(cls)]
     assert list(inspect.signature(cls).parameters) == names
     assert cls.__match_args__ == tuple(names)
@@ -120,8 +141,28 @@ def test_record_constructors_keep_the_dataclass_contract(cls, args, change, text
         setattr(rec, name, value)
     with pytest.raises(FrozenInstanceError):
         delattr(rec, name)
-    assert not hasattr(rec, "__dict__")
+    if slotted:
+        assert not hasattr(rec, "__dict__")
+    else:
+        assert vars(rec) == dict(zip(names, args))
     assert getattr(rec, name) == args[names.index(name)]
+
+
+def test_cone_space_replace_runs_the_checks():
+    # The last two changes break two checks at once, so they pin the order the checks run in.
+    cone = ConeSpace(A1_POINT, (2,), 1)
+    no_vertex = "vertex_dim must be >= 1; with no vertex summand the space is the base variety itself"
+    wrong_length = "ell has 2 entries, expected 1 (one per marked node)"
+    for change, message in (
+        ({"vertex_dim": 0}, no_vertex),
+        ({"ell": (1, 1)}, wrong_length),
+        ({"ell": (0,)}, "ell = (0,): embedding degrees must all be >= 1"),
+        ({"ell": (1, 0), "vertex_dim": 0}, no_vertex),
+        ({"ell": (0, 1)}, wrong_length),
+    ):
+        with pytest.raises(InputError) as exc:
+            replace(cone, **change)
+        assert str(exc.value) == message
 
 
 def test_classify_plane_cone():
