@@ -17,6 +17,11 @@ Conventions, fixed package-wide:
   weights, i.e. the tuple of values <alpha_i^vee, weight>.
 * cartan[i][j] = <alpha_i^vee, alpha_j>.  The Cartan matrix is the only
   bridge between the two coordinate systems.
+* One table, _DYNKIN, states each series once: its bonds and the half
+  square length d_i of each simple root (1 for short roots, 2 for long
+  roots in B, C and F, 3 in G).  The Cartan matrix and the symmetrizer
+  are both read from it, so d symmetrizes the Cartan matrix by
+  construction.
 * Simple-root indices in the public API are 1-based, matching the
   Bourbaki node labels above.
 
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from math import lcm, gcd
 from operator import gt, mul
 
 from .errors import InputError, InternalError
@@ -93,8 +97,9 @@ class RootSystem:
 
     positive_roots are sorted by height (coordinate sum) and, within a
     height, by decreasing leading coefficients; the first `rank` entries
-    are therefore the simple roots themselves.  symmetrizer is the
-    minimal positive integer vector d with diag(d) * cartan symmetric.
+    are therefore the simple roots themselves.  symmetrizer holds the
+    half square lengths d_i of the simple roots, short roots 1, so that
+    diag(d) * cartan is symmetric.
     """
 
     cartan_type: CartanType
@@ -116,94 +121,36 @@ def grade_key(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(vec), tuple(-c for c in vec))
 
 
+def _path(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((i, i + 1) for i in range(1, n))
+
+
+# Per series, at rank n: the bonds of the Dynkin diagram as 1-based node
+# pairs, and the half square length d_i of each simple root.
+_DYNKIN = {
+    "A": lambda n: (_path(n), (1,) * n),
+    "B": lambda n: (_path(n), (2,) * (n - 1) + (1,)),
+    "C": lambda n: (_path(n), (1,) * (n - 1) + (2,)),
+    "D": lambda n: (_path(n - 1) + ((n - 2, n),), (1,) * n),
+    "E": lambda n: (((1, 3), (2, 4)) + _path(n)[2:], (1,) * n),
+    "F": lambda n: (_path(4), (2, 2, 1, 1)),
+    "G": lambda n: (_path(2), (1, 3)),
+}
+
+
 def cartan_matrix(ctype: CartanType) -> Matrix:
-    """Cartan matrix in Bourbaki numbering, C[i][j] = <alpha_i^vee, alpha_j>."""
-    n = ctype.rank
-    C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    """Cartan matrix in Bourbaki numbering, C[i][j] = <alpha_i^vee, alpha_j>.
 
-    def bond(i: int, j: int, cij: int = -1, cji: int = -1) -> None:
-        # 1-based node labels; cij sits in row i.
-        C[i - 1][j - 1] = cij
-        C[j - 1][i - 1] = cji
-
-    s = ctype.series
-    if s == "A":
-        for i in range(1, n):
-            bond(i, i + 1)
-    elif s == "B":
-        for i in range(1, n - 1):
-            bond(i, i + 1)
-        bond(n - 1, n, -1, -2)
-    elif s == "C":
-        for i in range(1, n - 1):
-            bond(i, i + 1)
-        bond(n - 1, n, -2, -1)
-    elif s == "D":
-        for i in range(1, n - 1):
-            bond(i, i + 1)
-        bond(n - 2, n)
-    elif s == "E":
-        for i, j in ((1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8)):
-            if j <= n:
-                bond(i, j)
-        bond(2, 4)
-    elif s == "F":
-        bond(1, 2)
-        bond(2, 3, -1, -2)
-        bond(3, 4)
-    elif s == "G":
-        bond(1, 2, -3, -1)
-    return tuple(tuple(row) for row in C)
-
-
-def _validate_cartan(C: Matrix) -> None:
-    n = len(C)
-    for i in range(n):
-        if len(C[i]) != n:
-            raise InternalError("Cartan matrix is not square")
-        if C[i][i] != 2:
-            raise InternalError(f"Cartan diagonal entry C[{i + 1}][{i + 1}] = {C[i][i]} != 2")
-        for j in range(n):
-            if i == j:
-                continue
-            if C[i][j] > 0:
-                raise InternalError(f"positive off-diagonal Cartan entry C[{i + 1}][{j + 1}]")
-            if (C[i][j] == 0) != (C[j][i] == 0):
-                raise InternalError(f"Cartan zero pattern not symmetric at ({i + 1},{j + 1})")
-
-
-def _symmetrizer(C: Matrix) -> tuple[int, ...]:
-    """Minimal positive integers d with d_i * C[i][j] = d_j * C[j][i].
-
-    d is spread from node 1 along the edges as reduced integer ratios
-    num_j / den_j with den_j > 0, using d_j = d_i * C[i][j] / C[j][i],
-    and the denominators are cleared at the end.
+    On a bond C[i][j] = -max(d_i, d_j) / d_i, so d_i * C[i][j] =
+    d_j * C[j][i] and the half square lengths d symmetrize C.
     """
-    n = len(C)
-    num: list[int | None] = [None] * n
-    den = [1] * n
-    num[0] = 1
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if j != i and C[i][j] != 0 and num[j] is None:
-                a, b = num[i] * C[i][j], den[i] * C[j][i]
-                g = gcd(a, b) if b > 0 else -gcd(a, b)
-                num[j], den[j] = a // g, b // g
-                stack.append(j)
-    if None in num:
-        raise InternalError("Dynkin diagram is disconnected; not a simple type")
-    for i in range(n):
-        for j in range(n):
-            if num[i] * den[j] * C[i][j] != num[j] * den[i] * C[j][i]:
-                raise InternalError("Cartan matrix is not symmetrizable")
-    if any(v <= 0 for v in num):
-        raise InternalError("symmetrizer is not positive; invalid Cartan data")
-    scale = lcm(*den)
-    ints = [v * (scale // q) for v, q in zip(num, den)]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
+    bonds, d = _DYNKIN[ctype.series](ctype.rank)
+    C = [[2 if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+    for i, j in bonds:
+        top = max(d[i - 1], d[j - 1])
+        C[i - 1][j - 1] = -top // d[i - 1]
+        C[j - 1][i - 1] = -top // d[j - 1]
+    return tuple(map(tuple, C))
 
 
 def _generate_positive_roots(C: Matrix) -> tuple[Root, ...]:
@@ -248,10 +195,7 @@ def _generate_positive_roots(C: Matrix) -> tuple[Root, ...]:
 def build_root_system(ctype: CartanType) -> RootSystem:
     """Construct the full root system of a simple type."""
     C = cartan_matrix(ctype)
-    _validate_cartan(C)
-    sym = _symmetrizer(C)
-    roots = _generate_positive_roots(C)
-    return RootSystem(ctype, C, roots, sym)
+    return RootSystem(ctype, C, _generate_positive_roots(C), _DYNKIN[ctype.series](ctype.rank)[1])
 
 
 def pair(rs: RootSystem, i: int, root: Root) -> int:

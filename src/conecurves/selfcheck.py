@@ -40,18 +40,11 @@ _DUAL_COXETER = {
 
 
 def all_types(max_rank: int) -> list[rootsys.CartanType]:
-    out = []
-    for series, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        for r in range(lo, max_rank + 1):
-            out.append(rootsys.CartanType(series, r))
-    if max_rank >= 2:
-        out.append(rootsys.CartanType("G", 2))
-    if max_rank >= 4:
-        out.append(rootsys.CartanType("F", 4))
-    for r in (6, 7, 8):
-        if r <= max_rank:
-            out.append(rootsys.CartanType("E", r))
-    return out
+    return [
+        rootsys.CartanType(s, r)
+        for s in rootsys.SERIES
+        for r in range(rootsys._MIN_RANK[s], min(max_rank, rootsys._MAX_RANK[s]) + 1)
+    ]
 
 
 def _nonempty_subsets(rank: int):

@@ -242,6 +242,17 @@ def test_selfcheck_detects_flipped_cartan_sign(monkeypatch, capsys):
     assert "selfcheck FAIL" in out
 
 
+def test_selfcheck_detects_a_wrong_root_length_in_the_dynkin_table(monkeypatch, capsys):
+    # B3 with its long and short roots swapped is C3's table: same bonds,
+    # same number of roots, but the Cartan matrix is transposed.
+    real = rootsys._DYNKIN["B"]
+    monkeypatch.setitem(rootsys._DYNKIN, "B", lambda n: (real(n)[0], (1, 1, 2)) if n == 3 else real(n))
+    assert build_root_system(CartanType("B", 3)).cartan == build_root_system(CartanType("C", 3)).cartan
+    code, out, _ = run(capsys, ["selfcheck"])
+    assert code == 3
+    assert "selfcheck FAIL" in out
+
+
 def test_selfcheck_detects_a_wrong_count(monkeypatch, capsys):
     real = components.count_solutions
     monkeypatch.setattr(components, "count_solutions", lambda weights, target: real(weights, target) + 1)

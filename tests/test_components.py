@@ -299,10 +299,10 @@ def row_of(c):
 
 
 @pytest.mark.parametrize("type_name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"])
-def test_iter_rows_are_iter_components_without_records(type_name):
-    # iter_rows against the records of classify, on every marked diagram of
-    # the type, ell in {min, 2 min}, n in {1, 2}: lines cones (min) and
-    # no-lines cones (2 min) alike.
+def test_iter_rows_are_classify_without_records(type_name):
+    # iter_rows gives the rows of classify's records without building them,
+    # on every marked diagram of the type, ell in {min, 2 min}, n in {1, 2}:
+    # lines cones (min) and no-lines cones (2 min) alike.
     rs = build_root_system(CartanType.parse(type_name))
     for size in range(1, rs.rank + 1):
         for nodes in combinations(range(1, rs.rank + 1), size):

@@ -21,10 +21,11 @@ from conecurves.rootsys import (
     _MAX_RANK,
     _MIN_RANK,
     _generate_positive_roots,
-    _symmetrizer,
+    cartan_matrix,
     grade_key,
     highest_roots,
     parse_decimal,
+    subsystem_comarks,
 )
 from conecurves.parabolic import parse_alpha_p, parse_lambda
 
@@ -260,6 +261,35 @@ def test_positive_roots_of_every_admitted_type_are_unchanged():
     assert digest.hexdigest() == ROOT_DIGEST
 
 
+# sha256 over repr((type, cartan, symmetrizer)) lines of every admitted type,
+# recorded while each bond's two Cartan entries were written out by hand and
+# the symmetrizer was solved for from the matrix.
+CARTAN_DIGEST = "bab23db26350961cb0683f11de8e4dccdd52b3c15923a8bf64289025238b4747"
+
+
+def test_cartan_and_symmetrizer_of_every_admitted_type_are_unchanged():
+    digest = hashlib.sha256()
+    for name in ADMITTED_TYPES:
+        rs = build_root_system(CartanType.parse(name))
+        digest.update(repr((name, rs.cartan, rs.symmetrizer)).encode() + b"\n")
+    assert digest.hexdigest() == CARTAN_DIGEST
+
+
+def _block_diagonal(*blocks):
+    n = sum(map(len, blocks))
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            out[at + i][at:at + len(row)] = row
+        at += len(block)
+    return tuple(map(tuple, out))
+
+
+HYPERBOLIC_2 = ((2, -3), (-3, 2))
+D11 = cartan_matrix(CartanType("D", 11))
+
+
 @pytest.mark.parametrize(
     "cartan, message",
     [
@@ -268,7 +298,12 @@ def test_positive_roots_of_every_admitted_type_are_unchanged():
         # Hyperbolic rank 3: 381 real roots by round 6, past the cap before the round guard.
         (((2, -3, -3), (-3, 2, -3), (-3, -3, 2)), "too many positive roots"),
         # Hyperbolic rank 2: reflections add two real roots a round, 130 at the round cap.
-        (((2, -3), (-3, 2)), "did not terminate"),
+        (HYPERBOLIC_2, "did not terminate"),
+        # D11's 110 roots plus the hyperbolic block's 2 + 2r after round r: exactly
+        # the cap of 240 after round 64, the last round allowed, so round 65 stops it.
+        (_block_diagonal(D11, HYPERBOLIC_2), "did not terminate"),
+        # One root more: 241 after round 64, past the cap inside the last round allowed.
+        (_block_diagonal(D11, ((2,),), HYPERBOLIC_2), "too many positive roots"),
     ],
 )
 def test_root_generation_guards(cartan, message):
@@ -277,16 +312,13 @@ def test_root_generation_guards(cartan, message):
 
 
 @pytest.mark.parametrize(
-    "cartan, message",
-    [
-        (((2, 0), (0, 2)), "disconnected"),
-        (((2, -1, -1), (-2, 2, -1), (-1, -1, 2)), "not symmetrizable"),
-        (((2, 1), (-1, 2)), "not positive"),
-    ],
+    "symmetrizer, theta, norm",
+    [((1, 1), (0, 0), 0), ((-1, -1), (1, 1), -2), ((1, 2), (1, 1), 3)],
 )
-def test_symmetrizer_rejects_invalid_cartan_data(cartan, message):
-    with pytest.raises(InternalError, match=message):
-        _symmetrizer(cartan)
+def test_subsystem_comarks_needs_a_positive_even_square_length(symmetrizer, theta, norm):
+    rs = replace(build_root_system(CartanType("A", 2)), symmetrizer=symmetrizer)
+    with pytest.raises(InternalError, match=f"^square length {norm} of the highest root is not a positive even integer$"):
+        subsystem_comarks(rs, theta)
 
 
 def test_weyl_dim_a1_oracle():
