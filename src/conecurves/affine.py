@@ -57,7 +57,7 @@ def level_weights(a: AffineData, level: int) -> list[tuple[int, ...]]:
     return list(components.graded_solutions(a.comarks, level))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AffineComparison:
     """Side-by-side counts: effective classes vs level-exactly-degree affine weights."""
 
@@ -68,7 +68,8 @@ class AffineComparison:
     factor_nodes: tuple[tuple[int, ...], ...]
     factor_comarks: tuple[tuple[int, ...], ...]
 
-    # One per compare_ne_ir call: a hand-written __init__ (dataclass keeps it) is cheaper than the generated one.
+    # One per compare_ne_ir call: a hand-written __init__ (init=False: dataclass generates none) is cheaper
+    # than a generated one.
     def __init__(
         self,
         degree: int,

@@ -76,21 +76,21 @@ from .errors import InputError, InternalError
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EffectiveClass:
     """An effective base curve class: nonnegative coordinates on the Picard generators."""
 
     coeffs: tuple[int, ...]
 
-    # One per class from ne: this __init__ (dataclass keeps it) checks with a plain min(), at about
-    # half the cost of the generated __init__ plus a __post_init__ with min(..., default=0).
+    # One per class from ne: this __init__ (init=False: dataclass generates none, and replace() runs this
+    # one) checks with a plain min(), at about half the cost of a generated __init__ plus a __post_init__.
     def __init__(self, coeffs: tuple[int, ...]) -> None:
         if coeffs and min(coeffs) < 0:
             raise InputError(f"effective class must have nonnegative coordinates, got {coeffs}")
         _set(self, "coeffs", coeffs)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ComponentDescriptor:
     """One irreducible component: base class, degrees, vertex multiplicity, dimension."""
 
@@ -100,14 +100,10 @@ class ComponentDescriptor:
     tilde: TildeClass
     dimension: int
 
-    # One per component: a hand-written __init__ (dataclass keeps it) is cheaper than the generated one.
+    # One per component: a hand-written __init__ (init=False: dataclass generates none) is cheaper
+    # than a generated one.
     def __init__(
-        self,
-        beta: EffectiveClass,
-        alpha_prime: int,
-        vertex_multiplicity: int,
-        tilde: TildeClass,
-        dimension: int,
+        self, beta: EffectiveClass, alpha_prime: int, vertex_multiplicity: int, tilde: TildeClass, dimension: int
     ) -> None:
         _set(self, "beta", beta)
         _set(self, "alpha_prime", alpha_prime)

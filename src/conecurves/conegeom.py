@@ -38,7 +38,7 @@ from .rootsys import Weight
 _set = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConeSpace:
     """Cone data: base parabolic, embedding degrees, vertex summand dimension."""
 
@@ -46,8 +46,8 @@ class ConeSpace:
     ell: tuple[int, ...]
     vertex_dim: int
 
-    # One per cone at set-up: a hand-written __init__ (dataclass keeps it, and replace() runs it)
-    # is cheaper than the generated one plus a __post_init__.
+    # One per cone at set-up: a hand-written __init__ (init=False: dataclass generates none, and replace()
+    # runs this one) is cheaper than a generated one plus a __post_init__.
     def __init__(self, parabolic: ParabolicData, ell: tuple[int, ...], vertex_dim: int) -> None:
         if vertex_dim < 1:
             raise InputError(
@@ -69,14 +69,15 @@ class ConeSpace:
         return self.parabolic.dim_gp + self.vertex_dim
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TildeClass:
     """A curve class on the resolution: base class plus relative degree."""
 
     beta: tuple[int, ...]
     relative_degree: int
 
-    # One per component: a hand-written __init__ (dataclass keeps it) is cheaper than the generated one.
+    # One per component: a hand-written __init__ (init=False: dataclass generates none) is cheaper
+    # than a generated one.
     def __init__(self, beta: tuple[int, ...], relative_degree: int) -> None:
         _set(self, "beta", beta)
         _set(self, "relative_degree", relative_degree)

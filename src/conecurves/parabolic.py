@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from operator import mul
 
 from .errors import InputError
-from .rootsys import Root, RootSystem, Weight, highest_roots, pair, parse_decimal, subsystem_comarks
+from .rootsys import Root, RootSystem, Weight, highest_roots, parse_decimal, subsystem_comarks
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,17 @@ def build_parabolic(rs: RootSystem, alpha_p) -> ParabolicData:
     marked = tuple(sorted(set(alpha_p)))
     if not marked:
         raise InputError("alpha(p) must be nonempty: the base variety must have positive dimension")
-    mask = [False] * rs.rank
+    rank = rs.rank
+    mask = [False] * rank
     for i in marked:
-        if not 1 <= i <= rs.rank:
-            raise InputError(f"parabolic index {i} out of range 1..{rs.rank}")
+        if not 1 <= i <= rank:
+            raise InputError(f"parabolic index {i} out of range 1..{rank}")
         mask[i - 1] = True
-    nil = tuple(g for g in rs.positive_roots if any(compress(g, mask)))
+    nil = [g for g in rs.positive_roots if any(compress(g, mask))]
     total = tuple(map(sum, zip(*nil)))
-    chern = tuple(pair(rs, i, total) for i in marked)
-    return ParabolicData(rs, marked, nil, chern, len(nil))
+    # <alpha_i^vee, total> for each marked i: row i of the Cartan matrix against the summed nilradical.
+    chern = tuple([sum(map(mul, rs.cartan[i - 1], total)) for i in marked])
+    return ParabolicData(rs, marked, tuple(nil), chern, len(nil))
 
 
 def kappa(p: ParabolicData) -> Weight:

@@ -163,33 +163,42 @@ def _generate_positive_roots(C: Matrix) -> tuple[Root, ...]:
     simple root by reflections that raise the height, and a root g has
     the root s_i(g) = g - q alpha_i above it exactly when
     q = <alpha_i^vee, g> < 0.  Each root is kept with its pairings
-    <alpha_j^vee, g> for every j: s_i(g) pairs as g minus q times
-    column i of the Cartan matrix, so the test reads one entry.
+    <alpha_j^vee, g> for every j: s_i(g) is a copy of g with coordinate
+    i raised by -q, and its pairings are g's less q times column i of
+    the Cartan matrix, which moves only the entries at i and at the
+    nodes bonded to i, so the test reads one entry.
+
+    The roots are returned in grade_key order by two stable sorts:
+    descending, which orders each height by decreasing leading
+    coefficients, then by height (coordinate sum).
     """
     n = len(C)
-    columns = tuple(zip(*C))
+    # bonds[i]: the nonzero entries (j, C[j][i]) of column i, the only pairings s_i moves.
+    bonds = [[(j, row[i]) for j, row in enumerate(C) if row[i]] for i in range(n)]
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    pairings: dict[Root, tuple[int, ...]] = dict(zip(simples, columns))
+    pairings: dict[Root, list[int]] = dict(zip(simples, map(list, zip(*C))))
     frontier: list[Root] = simples
-    rounds = 0
-    while frontier:
-        rounds += 1
-        # A root found in round r has height >= r + 1, so a finite type stops within its highest root's height.
-        if rounds > _MAX_HEIGHT:
-            raise InternalError("root generation did not terminate; invalid Cartan data")
+    # A root found in round r has height >= r + 1, so a finite type stops within its highest root's height.
+    for _ in range(_MAX_HEIGHT):
         grown: list[Root] = []
         for g in frontier:
             gp = pairings[g]
             for i, q in enumerate(gp):
                 if q < 0:
-                    up = g[:i] + (g[i] - q,) + g[i + 1:]
+                    raised = list(g)
+                    raised[i] -= q
+                    up = tuple(raised)
                     if up not in pairings:
-                        pairings[up] = tuple([p - q * c for p, c in zip(gp, columns[i])])
+                        pairings[up] = moved = list(gp)
+                        for j, c in bonds[i]:
+                            moved[j] -= q * c
                         grown.append(up)
         if len(pairings) > _MAX_ROOTS:
             raise InternalError("too many positive roots generated; invalid Cartan data")
+        if not grown:
+            return tuple(sorted(sorted(pairings, reverse=True), key=sum))
         frontier = grown
-    return tuple(sorted(pairings, key=grade_key))
+    raise InternalError("root generation did not terminate; invalid Cartan data")
 
 
 def build_root_system(ctype: CartanType) -> RootSystem:

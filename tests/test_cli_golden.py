@@ -4,7 +4,9 @@ Each hash is the sha256 of the command's stdout as recorded before the
 classify hot path was rebuilt around conegeom.lift and the graded
 enumerator; a changed hash means the printed output changed.  The
 STREAMED hashes were recorded before classify, ne and TSV output were
-streamed through hand-laid, batched writers.
+streamed through hand-laid, batched writers.  The E8 `roots` and `gp`
+hashes were recorded while the positive roots were ordered by one sort
+keyed on grade_key.
 """
 
 import hashlib
@@ -45,6 +47,14 @@ GOLDEN = [
     (
         ["roots", "--type", "G2"],
         "07cb6a486468ccb580c02f78116c1ae2821125d0c21357d544881aa269022d2e",
+    ),
+    (
+        ["roots", "--type", "E8"],
+        "d8a5d6c3a54f899a7fe2b10fef32390cfd50c86fdfbc7351e4e422cfdf69ae6a",
+    ),
+    (
+        ["gp", "--type", "E8", "--parabolic", "1,2,3,4,5,6,7,8"],
+        "b21fc4b4c670a3abe78bdfd9af9ac367a477afafc0adee6dba27e13673526e94",
     ),
 ]
 

@@ -93,6 +93,8 @@ A1_POINT = build_parabolic(build_root_system(CartanType("A", 1)), (1,))
 
 # The records with hand-written constructors must still behave as the
 # frozen dataclasses they are declared to be; the per-class ones are slotted.
+# They are declared with init=False, so the __init__ each one has is the one
+# written in its module, and replace() builds the copy through it.
 @pytest.mark.parametrize(
     "cls,args,change,text,slotted",
     [
@@ -124,7 +126,10 @@ A1_POINT = build_parabolic(build_root_system(CartanType("A", 1)), (1,))
     ],
     ids=["EffectiveClass", "TildeClass", "ComponentDescriptor", "AffineComparison", "ConeSpace"],
 )
-def test_record_constructors_keep_the_dataclass_contract(cls, args, change, text, slotted):
+def test_record_constructors_keep_the_dataclass_contract(cls, args, change, text, slotted, monkeypatch):
+    init = cls.__dict__["__init__"]
+    assert cls.__init__ is init and init.__code__.co_filename == inspect.getfile(cls)
+    assert not cls.__dataclass_params__.init
     names = [f.name for f in fields(cls)]
     assert list(inspect.signature(cls).parameters) == names
     assert cls.__match_args__ == tuple(names)
@@ -134,7 +139,11 @@ def test_record_constructors_keep_the_dataclass_contract(cls, args, change, text
     assert hash(rec) == hash(cls(*args)) == hash(tuple(args))
     assert repr(rec) == text
     name, value = change
+    calls = []
+    monkeypatch.setattr(cls, "__init__", lambda self, **kw: calls.append(kw) or init(self, **kw))
     moved = replace(rec, **{name: value})
+    assert calls == [{**dict(zip(names, args)), name: value}]
+    monkeypatch.undo()
     assert type(moved) is cls and getattr(moved, name) == value and moved != rec
     assert [getattr(moved, n) for n in names if n != name] == [a for n, a in zip(names, args) if n != name]
     with pytest.raises(FrozenInstanceError):
@@ -277,6 +286,43 @@ def test_closed_form_is_reported_not_trusted():
     assert rep.equidimensional
     assert not rep.closed_form
     assert not rep.agree
+
+
+# The all-degree criterion.  A component's dimension is <beta, c - ell> +
+# (n+1)d + dim_x, c the Chern degrees.  With lines, beta runs over the
+# effective classes of degree d, so the dimension is constant at every degree
+# iff <beta, c - ell> depends on <beta, ell> alone, iff c is proportional to
+# ell; if c_i/ell_i != c_j/ell_j, the classes ell_j e_i and ell_i e_j of
+# degree ell_i ell_j <= max(ell)^2 differ.  Without lines beta = 0 is the
+# vertex stratum at every degree, so the dimension is constant iff
+# <beta, c - ell> = 0 for every effective beta, iff c = ell; if c_i != ell_i,
+# e_i at degree ell_i differs from 0.  So degrees up to max(ell)^2 decide it.
+# Rows: type, marked nodes, ell, n, constant at every degree.
+ALL_DEGREE_GRID = [
+    ("A2", (1,), (1,), 1, True),  # lines, c = 3 ell: proportional, though c != 2 ell
+    ("A2", (1, 2), (1, 1), 1, True),  # lines, c = 2 ell
+    ("G2", (1, 2), (1, 1), 2, True),  # lines, c = 2 ell
+    ("B3", (1,), (1,), 1, True),  # lines, the quadric Q^5: c = 5 ell
+    ("A2", (1, 2), (1, 2), 1, False),  # lines, c = (2, 2) not proportional to ell
+    ("C3", (1, 2, 3), (1, 1, 2), 2, False),  # lines, c = (2, 2, 2) not proportional to ell
+    ("A1", (1,), (2,), 1, True),  # no lines, c = ell
+    ("A2", (1, 2), (2, 2), 2, True),  # no lines, c = ell
+    ("A1", (1,), (3,), 1, False),  # no lines, c = (2,) != ell
+    ("A2", (1,), (2,), 1, False),  # no lines, c = (3,) != ell
+    ("A2", (1, 2), (4, 4), 1, False),  # no lines, c proportional to ell but != ell
+]
+
+
+@pytest.mark.parametrize("type_name, nodes, ell, n, constant", ALL_DEGREE_GRID)
+def test_all_degree_equidimensionality_criterion(type_name, nodes, ell, n, constant):
+    cone = make_cone(type_name, nodes, ell, n)
+    c = cone.parabolic.chern_degrees
+    if has_lines(cone):
+        criterion = all(ci * ell[0] == c[0] * li for ci, li in zip(c, ell))
+    else:
+        criterion = c == ell
+    direct = all(is_equidimensional(cone, d).equidimensional for d in range(max(ell) ** 2 + 1))
+    assert criterion == direct == constant
 
 
 def test_dimension_formula_constancy_matches_equidimensionality():

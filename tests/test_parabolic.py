@@ -16,6 +16,7 @@ from conecurves import (
     validate_ample,
 )
 from conecurves.parabolic import parse_alpha_p, parse_lambda
+from conecurves.rootsys import _MAX_RANK, _MIN_RANK
 
 RANK4_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4", "F4", "G2")
 
@@ -197,6 +198,29 @@ def test_parabolics_of_every_marked_diagram_are_unchanged():
             subsets += 1
     assert subsets == 2465
     assert digest.hexdigest() == PARABOLIC_DIGEST
+
+
+# sha256 over repr((type, alpha_p, nilradical, chern_degrees, dim_gp, factors))
+# lines for every admitted type at its full flag and at each single node,
+# recorded while the Chern degrees were paired through rootsys.pair and the
+# positive roots were ordered by one sort keyed on grade_key.
+ADMITTED_PARABOLIC_DIGEST = "70c8df5d714c3dab5ca577cf6a42045628fc6dafe3400c21ac0e403564f5d5da"
+
+
+def test_full_flag_and_single_node_parabolics_of_every_admitted_type_are_unchanged():
+    digest = hashlib.sha256()
+    parabolics = 0
+    for series in "ABCDEFG":
+        for rank in range(_MIN_RANK[series], _MAX_RANK[series] + 1):
+            name = f"{series}{rank}"
+            rs = build_root_system(CartanType(series, rank))
+            for nodes in [tuple(range(1, rank + 1))] + [(i,) for i in range(1, rank + 1)]:
+                p = build_parabolic(rs, nodes)
+                line = (name, p.alpha_p, p.nilradical, p.chern_degrees, p.dim_gp, p.factors)
+                digest.update(repr(line).encode() + b"\n")
+                parabolics += 1
+    assert parabolics == 697
+    assert digest.hexdigest() == ADMITTED_PARABOLIC_DIGEST
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -261,6 +261,17 @@ def test_positive_roots_of_every_admitted_type_are_unchanged():
     assert digest.hexdigest() == ROOT_DIGEST
 
 
+@pytest.mark.parametrize("name", ADMITTED_TYPES)
+def test_positive_roots_are_in_grade_key_order_from_the_simple_roots(name):
+    # The RootSystem docstring's promises: grade_key order, the simple roots
+    # first in node order, and no root listed twice.
+    rs = build_root_system(CartanType.parse(name))
+    roots = rs.positive_roots
+    assert list(roots) == sorted(roots, key=grade_key)
+    assert roots[: rs.rank] == tuple(tuple(int(j == i) for j in range(rs.rank)) for i in range(rs.rank))
+    assert len(set(roots)) == len(roots)
+
+
 # sha256 over repr((type, cartan, symmetrizer)) lines of every admitted type,
 # recorded while each bond's two Cartan entries were written out by hand and
 # the symmetrizer was solved for from the matrix.
