@@ -54,13 +54,18 @@ operation estimate is below the recurrence's k * t.  Without lines,
 the component count sum_{d' <= d} |ne(d')| is the same coefficient with
 one more weight-1 coordinate: the solutions of <beta, ell> + m = d,
 where the slack m = d - d' is the vertex multiplicity.
-affine.compare_ne_ir takes both of its counts from it.
+affine.compare_ne_ir takes both of its counts from it, and classify
+checks its component list against it.  A coefficient depends only on
+(weights, t), so count_solutions keeps one bounded memo of them: the
+_COUNT_MEMO_SIZE (4096) most recently used pairs, least recently used
+out first.  Nothing else in this module is cached.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, mul, sub
 
 from .conegeom import (  # noqa: F401  e_intersection stays importable from this module
@@ -223,8 +228,13 @@ def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[in
 _HALVING_MIN_TARGET = 64
 # Fixed cost, in coefficient operations, of multiplying in one factor on the halving route.
 _HALVING_FACTOR_COST = 16
+# Most (weights, target) pairs count_solutions remembers.  A sweep asks for a few
+# coefficients many times over (one catalog-sweep count pass: 8,352 calls, 90 pairs);
+# the bound keeps a long-lived process's memo from growing with every pair it asks for.
+_COUNT_MEMO_SIZE = 4096
 
 
+@lru_cache(maxsize=_COUNT_MEMO_SIZE)
 def count_solutions(weights: tuple[int, ...], target: int) -> int:
     """Number of nonnegative integer vectors v with <v, weights> = target.
 
@@ -241,7 +251,9 @@ def count_solutions(weights: tuple[int, ...], target: int) -> int:
     a larger one takes the halving route when the estimate is below
     k * target.  A huge weight makes D huge, so it always takes the
     recurrence, where it costs nothing beyond the target.  Zero for a
-    negative target, one for target 0.
+    negative target, one for target 0.  Results are memoised per
+    (weights, target), the _COUNT_MEMO_SIZE most recently used, so the
+    weights must be a tuple; __wrapped__ is the uncached function.
     """
     if target < 0:
         return 0
@@ -374,9 +386,11 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
     conegeom.lift call on its class is checked to have e equal to the
     multiplicity, to be nonempty, to give the same morphism-space
     dimension by both routes, and to reproduce the stated dimension; a
-    component's dimension is the stratum's base plus <beta, chern>.  A
-    failure raises InternalError.  equidimensional says whether the
-    components share one dimension.
+    component's dimension is the stratum's base plus <beta, chern>.  At
+    the end, the number of components is compared with count_components,
+    as the command line compares its rows.  A failure raises
+    InternalError.  equidimensional says whether the components share
+    one dimension.
     """
     ell, chern = cone.ell, cone.parabolic.chern_degrees
     top = (cone.vertex_dim + 1) * degree + cone.dim_x
@@ -392,6 +406,9 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
             dim = base + sum(map(mul, b, chern))
             found.append(ComponentDescriptor(beta, alpha_prime, mult, TildeClass(b, rel), dim))
     components = tuple(found)
+    total = count_components(cone, degree)
+    if len(components) != total:
+        raise InternalError(f"enumerated {len(components)} components, but the generating function counts {total}")
     return ComponentReport(
         cone,
         degree,

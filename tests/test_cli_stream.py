@@ -173,6 +173,30 @@ def test_dropped_row_exits_3(monkeypatch, capsys, argv, what):
 
 
 @pytest.mark.parametrize(
+    "name,patch,message",
+    [
+        (
+            "graded_solutions",
+            lambda real: lambda w, t: (v for v in real(w, t) if v != (1, 1)),
+            "5 components, but the generating function counts 6",
+        ),
+        (
+            "count_solutions",
+            lambda real: lambda w, t: real(w, t) + 1,
+            "6 components, but the generating function counts 7",
+        ),
+    ],
+    ids=["dropped-row", "count-plus-one"],
+)
+def test_library_classify_checks_its_count(monkeypatch, name, patch, message):
+    # The two faults the command line refuses (test_dropped_row_exits_3), in the same words.
+    monkeypatch.setattr(components, name, patch(getattr(components, name)))
+    with pytest.raises(InternalError) as exc:
+        classify(A2_NO_LINES, 4)
+    assert str(exc.value) == f"enumerated {message}"
+
+
+@pytest.mark.parametrize(
     "fmt,digest",
     [
         # sha256 of the stdout recorded before classify streamed rows instead of records.

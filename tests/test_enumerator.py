@@ -233,6 +233,34 @@ def test_large_targets_with_small_weights_take_the_halving_route(monkeypatch):
     assert taken == [((2, 1), 1500), ((1,), 1500), ((1,), 120), (E8_COMARKS, 100_000)]
 
 
+def test_the_memo_gives_the_uncached_counts():
+    uncached = count_solutions.__wrapped__
+    huge = 10**49  # 50 digits
+    cases = [
+        ((3, 1, 2), 7),  # recurrence
+        (E8_COMARKS, 119),  # recurrence, largest target below the halving route
+        ((2, 1), 1500),  # halving
+        (E8_COMARKS, 100_000),  # halving, at the degree limit
+        ((huge, 1, 2), 100_000),  # recurrence, forced by the huge weight
+    ]
+    for weights, target in cases:
+        want = uncached(weights, target)
+        assert count_solutions(weights, target) == want, (weights, target)  # computed
+        assert count_solutions(weights, target) == want, (weights, target)  # remembered
+    info = count_solutions.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (len(cases), len(cases), len(cases))
+
+
+def test_the_memo_is_bounded():
+    bound = components._COUNT_MEMO_SIZE
+    for w in range(1, bound + 11):
+        assert count_solutions((w,), w) == 1
+    info = count_solutions.cache_info()
+    assert info.currsize == info.maxsize == bound
+    count_solutions((1,), 1)  # the least recently used pair was dropped
+    assert count_solutions.cache_info().misses == info.misses + 1
+
+
 def cli(*argv):
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "conecurves", *argv], capture_output=True, text=True)
