@@ -11,10 +11,12 @@ conegeom.lemma_equiv_check and cannot disagree with it.  The CLI
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from . import affine, components, conegeom, parabolic, rootsys
+from .errors import InputError, InternalError
 
 # Closed-form positive root counts per type (classical tables).
 _POS_COUNT = {
@@ -62,26 +64,41 @@ class SuiteResult:
     def ok(self) -> bool:
         return not self.failures
 
+    def record(self, where: object, checks: Iterator[str | bool]) -> None:
+        """Run one input's checks, counting each that `checks` yields.
+
+        A check yields False when it passes and its failure text when it
+        fails; the text is kept as "where: text".  An InputError or
+        InternalError raised by the code under check counts as one failed
+        check carrying the exception, and the input's remaining checks are
+        skipped.  Any other exception propagates, and run_all reports the
+        suite as aborted.
+        """
+        try:
+            for failure in checks:
+                self.checks += 1
+                if failure:
+                    self.failures.append(f"{where}: {failure}")
+        except (InputError, InternalError) as exc:
+            self.checks += 1
+            self.failures.append(f"{where}: {exc!r}")
+
 
 def _suite_root_counts(res: SuiteResult) -> None:
     """Positive-root counts, rho pairings and comark sums against the tables."""
-    for ctype in all_types(8):
+
+    def checks(ctype):
         rs = rootsys.build_root_system(ctype)
-        res.checks += 1
-        expect = _POS_COUNT[ctype.series](ctype.rank)
-        if len(rs.positive_roots) != expect:
-            res.failures.append(f"{ctype}: {len(rs.positive_roots)} positive roots, table says {expect}")
-        res.checks += 1
+        count, want = len(rs.positive_roots), _POS_COUNT[ctype.series](ctype.rank)
+        yield count != want and f"{count} positive roots, table says {want}"
         # 2*rho is the sum of the positive roots: each coroot pairing must be 2.
-        for i in range(1, rs.rank + 1):
-            total = sum(rootsys.pair(rs, i, g) for g in rs.positive_roots)
-            if total != 2:
-                res.failures.append(f"{ctype}: positive roots pair to {total} != 2 at node {i}")
-        res.checks += 1
-        hv = _DUAL_COXETER[ctype.series](ctype.rank)
-        csum = sum(affine.comarks(ctype).comarks)
-        if csum != hv:
-            res.failures.append(f"{ctype}: comark sum {csum}, dual Coxeter number is {hv}")
+        totals = [sum(rootsys.pair(rs, i, g) for g in rs.positive_roots) for i in range(1, rs.rank + 1)]
+        yield set(totals) != {2} and f"positive roots pair to {totals} at nodes 1..{rs.rank}, not all 2"
+        csum, hv = sum(affine.comarks(ctype).comarks), _DUAL_COXETER[ctype.series](ctype.rank)
+        yield csum != hv and f"comark sum {csum}, dual Coxeter number is {hv}"
+
+    for ctype in all_types(8):
+        res.record(ctype, checks(ctype))
 
 
 def _suite_lines_dichotomy(res: SuiteResult) -> None:
@@ -92,18 +109,18 @@ def _suite_lines_dichotomy(res: SuiteResult) -> None:
     conegeom.lemma_equiv_check, restates has_lines (min(ell) == 1 against
     all(ell >= 2)) and is kept as a smoke test, not counted as an oracle.
     """
+
+    def checks(cone):
+        yield not conegeom.lemma_equiv_check(cone) and "dichotomy equivalence failed"
+        counted = components.count_solutions(cone.ell, 1) > 0
+        yield conegeom.has_lines(cone) != counted and "has_lines disagrees with the degree-1 count"
+
     for ctype in all_types(3):
         rs = rootsys.build_root_system(ctype)
         for subset in _nonempty_subsets(rs.rank):
             p = parabolic.build_parabolic(rs, subset)
             for ell in product(range(1, 5), repeat=len(subset)):
-                cone = conegeom.cone_from_ell(p, ell, 1)
-                res.checks += 1
-                if not conegeom.lemma_equiv_check(cone):
-                    res.failures.append(f"{ctype} {subset} ell={ell}: dichotomy equivalence failed")
-                res.checks += 1
-                if conegeom.has_lines(cone) != (components.count_solutions(cone.ell, 1) > 0):
-                    res.failures.append(f"{ctype} {subset} ell={ell}: has_lines disagrees with the degree-1 count")
+                res.record(f"{ctype} {subset} ell={ell}", checks(conegeom.cone_from_ell(p, ell, 1)))
 
 
 def _toric_dimension(m: int, ell: int, n: int, a: int, e: int) -> int | None:
@@ -133,23 +150,28 @@ def _suite_dimension_cross_check(res: SuiteResult) -> None:
     from -ell*a - 2 to 3, and every component classify lists at degrees
     0-6, vertex strata included, whose E-degree is its multiplicity.
     """
+
+    def lift_check(cone, m, a, e):
+        ell, n = cone.ell[0], cone.vertex_dim
+        want = _toric_dimension(m, ell, n, a, e)
+        lf = conegeom.lift(cone, (a,), (n + 1) * e + n * ell * a)
+        got = (lf.nonempty, lf.dim_branch, lf.dim_base_fiber)
+        yield got != (want is not None, want, want) and f"lift {lf}, toric count {want}"
+
+    def component_checks(cone, m, degree):
+        for c in components.classify(cone, degree).components:
+            want = _toric_dimension(m, cone.ell[0], cone.vertex_dim, c.beta.coeffs[0], c.vertex_multiplicity)
+            yield c.dimension != want and f"{c}, toric count {want}"
+
     for m in range(1, 5):
         p = parabolic.build_parabolic(rootsys.build_root_system(rootsys.CartanType("A", m)), (1,))
         for ell, n in product(range(1, 4), repeat=2):
             cone = conegeom.cone_from_ell(p, (ell,), n)
             for a in range(5):
                 for e in range(-ell * a - 2, 4):
-                    res.checks += 1
-                    want = _toric_dimension(m, ell, n, a, e)
-                    lf = conegeom.lift(cone, (a,), (n + 1) * e + n * ell * a)
-                    if (lf.nonempty, lf.dim_branch, lf.dim_base_fiber) != (want is not None, want, want):
-                        res.failures.append(f"P^{m} ell={ell} n={n} a={a} e={e}: lift {lf}, toric count {want}")
+                    res.record(f"P^{m} ell={ell} n={n} a={a} e={e}", lift_check(cone, m, a, e))
             for degree in range(7):
-                for c in components.classify(cone, degree).components:
-                    res.checks += 1
-                    want = _toric_dimension(m, ell, n, c.beta.coeffs[0], c.vertex_multiplicity)
-                    if c.dimension != want:
-                        res.failures.append(f"P^{m} ell={ell} n={n} degree {degree}: {c}, toric count {want}")
+                res.record(f"P^{m} ell={ell} n={n} degree {degree}", component_checks(cone, m, degree))
 
 
 def _box_scan(ell: tuple[int, ...], degree: int) -> list[tuple[int, ...]]:
@@ -161,73 +183,53 @@ def _box_scan(ell: tuple[int, ...], degree: int) -> list[tuple[int, ...]]:
 
 def _suite_ne_enumeration(res: SuiteResult) -> None:
     """ne equals the box-scan oracle as ordered lists; the counts equal the listed sizes."""
-    bases = {
-        1: parabolic.build_parabolic(rootsys.build_root_system(rootsys.CartanType("A", 1)), (1,)),
-        2: parabolic.build_parabolic(rootsys.build_root_system(rootsys.CartanType("A", 2)), (1, 2)),
-        3: parabolic.build_parabolic(rootsys.build_root_system(rootsys.CartanType("A", 3)), (1, 2, 3)),
-    }
+
+    def checks(cone, degree):
+        got, want = [b.coeffs for b in components.ne(cone, degree)], _box_scan(cone.ell, degree)
+        yield got != want and f"{got} != {want}"
+        count = components.count_solutions(cone.ell, degree)
+        yield len(got) != count and f"ne lists {len(got)}, count_solutions says {count}"
+        listed = len(components.classify(cone, degree).components)
+        count = components.count_components(cone, degree)
+        yield listed != count and f"classify lists {listed}, count_components says {count}"
+
     for k in (1, 2, 3):
+        p = parabolic.build_parabolic(rootsys.build_root_system(rootsys.CartanType("A", k)), tuple(range(1, k + 1)))
         for ell in product(range(1, 5), repeat=k):
+            cone = conegeom.cone_from_ell(p, ell, 1)
             for degree in range(11):
-                cone = conegeom.cone_from_ell(bases[k], ell, 1)
-                res.checks += 1
-                got = [b.coeffs for b in components.ne(cone, degree)]
-                want = _box_scan(ell, degree)
-                if got != want:
-                    res.failures.append(f"ell={ell} degree={degree}: {got} != {want}")
-                res.checks += 1
-                count = components.count_solutions(ell, degree)
-                if len(got) != count:
-                    res.failures.append(f"ell={ell} degree={degree}: ne lists {len(got)}, count_solutions says {count}")
-                res.checks += 1
-                listed = len(components.classify(cone, degree).components)
-                count = components.count_components(cone, degree)
-                if listed != count:
-                    res.failures.append(f"ell={ell} degree={degree}: classify lists {listed}, count_components says {count}")
+                res.record(f"ell={ell} degree={degree}", checks(cone, degree))
 
 
 def _suite_classical_oracles(res: SuiteResult) -> None:
     """Hand-counted moduli dimensions and Fano indices of familiar spaces."""
-    a1 = rootsys.build_root_system(rootsys.CartanType("A", 1))
-    p1 = parabolic.build_parabolic(a1, (1,))
+    p1 = parabolic.build_parabolic(rootsys.build_root_system(rootsys.CartanType("A", 1)), (1,))
+
+    def classified(lam, d, want):
+        rep = components.classify(conegeom.build_cone(p1, lam, 1), d)
+        facts = sorted((c.beta.coeffs, c.vertex_multiplicity, c.dimension) for c in rep.components)
+        yield (facts != want or not rep.equidimensional) and f"{facts} equidim={rep.equidimensional}"
+
+    def fano(ctype, alpha_p, chern, dim):
+        p = parabolic.build_parabolic(rootsys.build_root_system(ctype), alpha_p)
+        yield (p.chern_degrees, p.dim_gp) != (chern, dim) and f"c={p.chern_degrees} dim={p.dim_gp}"
 
     # Cone over a line is the projective plane; maps of degree d form one
     # component of dimension 3d + 2.
-    plane = conegeom.build_cone(p1, (1,), 1)
     for d in range(7):
-        res.checks += 1
-        rep = components.classify(plane, d)
-        if len(rep.components) != 1 or rep.components[0].dimension != 3 * d + 2:
-            res.failures.append(f"plane cone degree {d}: {rep.components}")
-
+        res.record(f"plane cone degree {d}", classified((1,), d, [((d,), 0, 3 * d + 2)]))
     # Cone over a conic: two components at degree 2, both of dimension 6.
-    res.checks += 1
-    quad = components.classify(conegeom.build_cone(p1, (2,), 1), 2)
-    facts = sorted((c.beta.coeffs, c.vertex_multiplicity, c.dimension) for c in quad.components)
-    if facts != [((0,), 2, 6), ((1,), 0, 6)] or not quad.equidimensional:
-        res.failures.append(f"quadric cone: {facts} equidim={quad.equidimensional}")
-
+    res.record("quadric cone", classified((2,), 2, [((0,), 2, 6), ((1,), 0, 6)]))
     # Projective spaces: anticanonical degree on a line is n + 1.
     for n in range(1, 7):
-        res.checks += 1
-        rs = rootsys.build_root_system(rootsys.CartanType("A", n))
-        p = parabolic.build_parabolic(rs, (1,))
-        if p.chern_degrees != (n + 1,) or p.dim_gp != n:
-            res.failures.append(f"projective space A{n}: c={p.chern_degrees} dim={p.dim_gp}")
-
+        res.record(f"projective space A{n}", fano(rootsys.CartanType("A", n), (1,), (n + 1,), n))
     # The Grassmannian of planes in 4-space has index 4 and dimension 4.
-    res.checks += 1
-    gr = parabolic.build_parabolic(rootsys.build_root_system(rootsys.CartanType("A", 3)), (2,))
-    if gr.chern_degrees != (4,) or gr.dim_gp != 4:
-        res.failures.append(f"Gr(2,4): c={gr.chern_degrees} dim={gr.dim_gp}")
-
-    # Full flag varieties: every anticanonical degree is 2.
+    res.record("Gr(2,4)", fano(rootsys.CartanType("A", 3), (2,), (4,), 4))
+    # Full flag varieties: every anticanonical degree is 2, and the dimension
+    # is the number of positive roots.
     for ctype in all_types(4):
-        res.checks += 1
-        rs = rootsys.build_root_system(ctype)
-        p = parabolic.build_parabolic(rs, tuple(range(1, rs.rank + 1)))
-        if any(c != 2 for c in p.chern_degrees):
-            res.failures.append(f"{ctype} full flag: c={p.chern_degrees}")
+        full, count = tuple(range(1, ctype.rank + 1)), _POS_COUNT[ctype.series](ctype.rank)
+        res.record(f"{ctype} full flag", fano(ctype, full, (2,) * ctype.rank, count))
 
 
 _SUITES = (

@@ -213,18 +213,40 @@ def test_affine_compare_a2(capsys):
     assert "ne=3 ir=6 MISMATCH" in out.splitlines()
 
 
-def test_selfcheck_passes(capsys):
-    import time
+SELFCHECK_PASS = """\
+root-counts: 99 checks, 0 failures
+lines-dichotomy: 1192 checks, 0 failures
+dimension-cross-check: 2220 checks, 0 failures
+ne-enumeration: 2772 checks, 0 failures
+classical-oracles: 29 checks, 0 failures
+selfcheck PASS
+"""
 
+
+def test_selfcheck_passes(capsys):
     start = time.perf_counter()
     code, out, _ = run(capsys, ["selfcheck"])
     elapsed = time.perf_counter() - start
     assert code == 0
     assert elapsed < 2.0
+    # The whole output, so a rewrite that drops or merges a check fails here.
+    assert out == SELFCHECK_PASS
+
+
+def _selfcheck_counts(capsys) -> dict[str, tuple[int, int]]:
+    """Run a failing selfcheck; each suite's (checks, failures), read from its summary line."""
+    code, out, _ = run(capsys, ["selfcheck"])
+    assert code == 3
     lines = out.splitlines()
-    assert lines[-1] == "selfcheck PASS"
-    assert any(l.startswith("root-counts:") for l in lines)
-    assert any(l.startswith("dimension-cross-check:") for l in lines)
+    assert lines[-1] == "selfcheck FAIL"
+    assert not [l for l in lines if l.startswith("  FAIL aborted:")]
+    counts = {}
+    for line in lines:
+        if not line.startswith(("  FAIL ", "selfcheck ")):
+            name, rest = line.split(": ")
+            checks, failures = rest.removesuffix(" failures").split(" checks, ")
+            counts[name] = (int(checks), int(failures))
+    return counts
 
 
 def test_selfcheck_detects_flipped_cartan_sign(monkeypatch, capsys):
@@ -237,28 +259,42 @@ def test_selfcheck_detects_flipped_cartan_sign(monkeypatch, capsys):
         return tuple(tuple(row) for row in M)
 
     monkeypatch.setattr(rootsys, "cartan_matrix", flipped)
-    code, out, _ = run(capsys, ["selfcheck"])
-    assert code == 3
-    assert "selfcheck FAIL" in out
+    # A2's comarks raise InternalError: one failed check, and root-counts goes on to the next type.
+    assert _selfcheck_counts(capsys) == {
+        "root-counts": (99, 2),
+        "lines-dichotomy": (1192, 0),
+        "dimension-cross-check": (2220, 336),
+        "ne-enumeration": (2772, 0),
+        "classical-oracles": (29, 2),
+    }
 
 
-def test_selfcheck_detects_a_wrong_root_length_in_the_dynkin_table(monkeypatch, capsys):
-    # B3 with its long and short roots swapped is C3's table: same bonds,
-    # same number of roots, but the Cartan matrix is transposed.
+def _wrong_count(monkeypatch):
+    """count_solutions answers one more than the true count."""
+    real = components.count_solutions
+    monkeypatch.setattr(components, "count_solutions", lambda weights, target: real(weights, target) + 1)
+
+
+def _dropped_row(monkeypatch):
+    """The enumerator drops the last vector of every list of two or more."""
+    real = components.graded_solutions
+
+    def graded_solutions(weights, target):
+        vectors = list(real(weights, target))
+        return iter(vectors[:-1] if len(vectors) > 1 else vectors)
+
+    monkeypatch.setattr(components, "graded_solutions", graded_solutions)
+
+
+def _wrong_root_length(monkeypatch):
+    """B3 with its long and short roots swapped in the Dynkin table.
+
+    That is C3's table: same bonds, same number of roots, but the Cartan
+    matrix is transposed.
+    """
     real = rootsys._DYNKIN["B"]
     monkeypatch.setitem(rootsys._DYNKIN, "B", lambda n: (real(n)[0], (1, 1, 2)) if n == 3 else real(n))
     assert build_root_system(CartanType("B", 3)).cartan == build_root_system(CartanType("C", 3)).cartan
-    code, out, _ = run(capsys, ["selfcheck"])
-    assert code == 3
-    assert "selfcheck FAIL" in out
-
-
-def test_selfcheck_detects_a_wrong_count(monkeypatch, capsys):
-    real = components.count_solutions
-    monkeypatch.setattr(components, "count_solutions", lambda weights, target: real(weights, target) + 1)
-    code, out, _ = run(capsys, ["selfcheck"])
-    assert code == 3
-    assert "selfcheck FAIL" in out
 
 
 def _empty_point_lifts(monkeypatch):
@@ -287,13 +323,27 @@ def _raise_a3_node_1_chern_degree(monkeypatch):
     monkeypatch.setattr(parabolic, "build_parabolic", build)
 
 
-@pytest.mark.parametrize("mutate", [_empty_point_lifts, _raise_a3_node_1_chern_degree])
-def test_selfcheck_dimension_suite_catches_a_wrong_resolution_class(mutate, monkeypatch, capsys):
+# Each suite's (checks, failures) under each fault, in _SUITES order: root-counts,
+# lines-dichotomy, dimension-cross-check, ne-enumeration, classical-oracles.
+# Under a wrong count, every classify call raises InternalError; each such call
+# is one failed check, so dimension-cross-check runs one check per degree in
+# place of one per component (2052 of 2220) and the other suites run in full.
+FAULT_COUNTS = {
+    _wrong_count: ((99, 0), (1192, 315), (2052, 252), (2772, 1848), (29, 8)),
+    _dropped_row: ((99, 0), (1192, 0), (2220, 0), (2772, 1758), (29, 0)),
+    _wrong_root_length: ((99, 1), (1192, 0), (2220, 0), (2772, 0), (29, 0)),
+    _empty_point_lifts: ((99, 0), (1192, 0), (2220, 48), (2772, 0), (29, 0)),
+    _raise_a3_node_1_chern_degree: ((99, 0), (1192, 0), (2220, 336), (2772, 0), (29, 1)),
+}
+
+
+@pytest.mark.parametrize("mutate", list(FAULT_COUNTS))
+def test_selfcheck_fault_matrix(mutate, monkeypatch, capsys):
+    # Every fault fails selfcheck without aborting a suite, and each suite's
+    # counts are pinned; root-counts and lines-dichotomy run in full under all.
     mutate(monkeypatch)
-    code, out, _ = run(capsys, ["selfcheck"])
-    assert code == 3
-    (line,) = [l for l in out.splitlines() if l.startswith("dimension-cross-check:")]
-    assert not line.endswith(" 0 failures"), line
+    names = ("root-counts", "lines-dichotomy", "dimension-cross-check", "ne-enumeration", "classical-oracles")
+    assert _selfcheck_counts(capsys) == dict(zip(names, FAULT_COUNTS[mutate]))
 
 
 def test_module_entry_point_runs():
