@@ -28,8 +28,6 @@ from .conegeom import ConeSpace
 from .errors import InputError
 from .rootsys import CartanType, build_root_system, highest_root, subsystem_comarks
 
-_set = object.__setattr__
-
 
 @dataclass(frozen=True)
 class AffineData:
@@ -57,7 +55,7 @@ def level_weights(a: AffineData, level: int) -> list[tuple[int, ...]]:
     return list(components.graded_solutions(a.comarks, level))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class AffineComparison:
     """Side-by-side counts: effective classes vs level-exactly-degree affine weights."""
 
@@ -79,12 +77,22 @@ class AffineComparison:
         factor_nodes: tuple[tuple[int, ...], ...],
         factor_comarks: tuple[tuple[int, ...], ...],
     ) -> None:
-        _set(self, "degree", degree)
-        _set(self, "ne_count", ne_count)
-        _set(self, "ir_count", ir_count)
-        _set(self, "match", match)
-        _set(self, "factor_nodes", factor_nodes)
-        _set(self, "factor_comarks", factor_comarks)
+        _set_degree(self, degree)
+        _set_ne_count(self, ne_count)
+        _set_ir_count(self, ir_count)
+        _set_match(self, match)
+        _set_factor_nodes(self, factor_nodes)
+        _set_factor_comarks(self, factor_comarks)
+
+
+# A slot's member descriptor, bound once: its __set__ writes the slot past the frozen
+# __setattr__, without the lookup on the type that object.__setattr__ makes at every call.
+_set_degree = AffineComparison.degree.__set__
+_set_ne_count = AffineComparison.ne_count.__set__
+_set_ir_count = AffineComparison.ir_count.__set__
+_set_match = AffineComparison.match.__set__
+_set_factor_nodes = AffineComparison.factor_nodes.__set__
+_set_factor_comarks = AffineComparison.factor_comarks.__set__
 
 
 def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:

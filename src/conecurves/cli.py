@@ -302,15 +302,16 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     from . import selfcheck  # only this command needs it; keeps start-up short
 
     results = selfcheck.run_all()
-    for r in results:
-        print(f"{r.name}: {r.checks} checks, {len(r.failures)} failures")
-        for f in r.failures[:5]:
-            print(f"  FAIL {f}")
-    if all(r.ok for r in results):
-        print("selfcheck PASS")
-        return 0
-    print("selfcheck FAIL")
-    return 3
+    ok = all(r.ok for r in results)
+    if args.json:
+        print(selfcheck.to_json(results))
+    else:
+        for r in results:
+            print(f"{r.name}: {r.checks} checks, {len(r.failures)} failures")
+            for f in r.failures[: selfcheck.SHOWN_FAILURES]:
+                print(f"  FAIL {f}")
+        print("selfcheck PASS" if ok else "selfcheck FAIL")
+    return 0 if ok else 3
 
 
 def _add_cone_args(sp: argparse.ArgumentParser) -> None:
@@ -362,6 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_affine_compare)
 
     sp = sub.add_parser("selfcheck", help="run the built-in oracle suites")
+    sp.add_argument("--json", action="store_true", help="print the results as one JSON object")
     sp.set_defaults(func=cmd_selfcheck)
 
     return parser

@@ -35,6 +35,14 @@ stratum by ne and builds a ComponentDescriptor per component.  Both
 take the strata and the per-stratum lift check from one place, so they
 list the same components in the same order under the same checks.
 
+The records (EffectiveClass, ComponentDescriptor, and TildeClass from
+conegeom) are frozen, slotted dataclasses with hand-written
+constructors that set each field through its slot's member descriptor,
+bound once at import.  Each record is one object tracked by the garbage
+collector, so classify's records add three such objects per component;
+the collector runs on a count of them, and a record that made more would
+move its collections.
+
 Index sets come from one enumerator, graded_solutions, which emits the
 vectors of a fixed weighted degree already in grade_key order (ascending
 coordinate sum, then decreasing lexicographic), so nothing is sorted
@@ -78,8 +86,6 @@ from .conegeom import (  # noqa: F401  e_intersection stays importable from this
 )
 from .errors import InputError, InternalError
 
-_set = object.__setattr__
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class EffectiveClass:
@@ -92,7 +98,12 @@ class EffectiveClass:
     def __init__(self, coeffs: tuple[int, ...]) -> None:
         if coeffs and min(coeffs) < 0:
             raise InputError(f"effective class must have nonnegative coordinates, got {coeffs}")
-        _set(self, "coeffs", coeffs)
+        _set_coeffs(self, coeffs)
+
+
+# A slot's member descriptor, bound once: its __set__ writes the slot past the frozen
+# __setattr__, without the lookup on the type that object.__setattr__ makes at every call.
+_set_coeffs = EffectiveClass.coeffs.__set__
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -110,11 +121,18 @@ class ComponentDescriptor:
     def __init__(
         self, beta: EffectiveClass, alpha_prime: int, vertex_multiplicity: int, tilde: TildeClass, dimension: int
     ) -> None:
-        _set(self, "beta", beta)
-        _set(self, "alpha_prime", alpha_prime)
-        _set(self, "vertex_multiplicity", vertex_multiplicity)
-        _set(self, "tilde", tilde)
-        _set(self, "dimension", dimension)
+        _set_beta(self, beta)
+        _set_alpha_prime(self, alpha_prime)
+        _set_vertex_multiplicity(self, vertex_multiplicity)
+        _set_tilde(self, tilde)
+        _set_dimension(self, dimension)
+
+
+_set_beta = ComponentDescriptor.beta.__set__
+_set_alpha_prime = ComponentDescriptor.alpha_prime.__set__
+_set_vertex_multiplicity = ComponentDescriptor.vertex_multiplicity.__set__
+_set_tilde = ComponentDescriptor.tilde.__set__
+_set_dimension = ComponentDescriptor.dimension.__set__
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,8 @@ from .errors import InputError, InternalError
 from .parabolic import ParabolicData, validate_ample
 from .rootsys import Weight
 
-_set = object.__setattr__
 
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class ConeSpace:
     """Cone data: base parabolic, embedding degrees, vertex summand dimension."""
 
@@ -59,14 +57,21 @@ class ConeSpace:
             )
         if ell and min(ell) < 1:
             raise InputError(f"ell = {ell}: embedding degrees must all be >= 1")
-        _set(self, "parabolic", parabolic)
-        _set(self, "ell", ell)
-        _set(self, "vertex_dim", vertex_dim)
+        _set_parabolic(self, parabolic)
+        _set_ell(self, ell)
+        _set_vertex_dim(self, vertex_dim)
 
     @property
     def dim_x(self) -> int:
         """Dimension of the cone (equals the dimension of its resolution)."""
         return self.parabolic.dim_gp + self.vertex_dim
+
+
+# A slot's member descriptor, bound once: its __set__ writes the slot past the frozen
+# __setattr__, without the lookup on the type that object.__setattr__ makes at every call.
+_set_parabolic = ConeSpace.parabolic.__set__
+_set_ell = ConeSpace.ell.__set__
+_set_vertex_dim = ConeSpace.vertex_dim.__set__
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -79,8 +84,12 @@ class TildeClass:
     # One per component: a hand-written __init__ (init=False: dataclass generates none) is cheaper
     # than a generated one.
     def __init__(self, beta: tuple[int, ...], relative_degree: int) -> None:
-        _set(self, "beta", beta)
-        _set(self, "relative_degree", relative_degree)
+        _set_beta(self, beta)
+        _set_relative_degree(self, relative_degree)
+
+
+_set_beta = TildeClass.beta.__set__
+_set_relative_degree = TildeClass.relative_degree.__set__
 
 
 def build_cone(p: ParabolicData, lam: Weight, vertex_dim: int) -> ConeSpace:

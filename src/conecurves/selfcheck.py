@@ -6,14 +6,17 @@ scans, a toric count of binary forms, hand-counted moduli dimensions)
 and records every disagreement.  The one exception is labelled where it
 runs: half of lines-dichotomy's checks restate has_lines through
 conegeom.lemma_equiv_check and cannot disagree with it.  The CLI
-`selfcheck` command runs all suites.
+`selfcheck` command runs all suites and prints their results as text,
+or with --json through to_json.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from time import perf_counter
 
 from . import affine, components, conegeom, parabolic, rootsys
 from .errors import InputError, InternalError
@@ -59,6 +62,7 @@ class SuiteResult:
     name: str
     checks: int = 0
     failures: list[str] = field(default_factory=list)
+    seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -147,8 +151,12 @@ def _suite_dimension_cross_check(res: SuiteResult) -> None:
 
     On A_m node 1 (m <= 4, ell <= 3, n <= 3): lift's nonemptiness and both
     of its dimension routes for base degree a <= 4 and every E-degree
-    from -ell*a - 2 to 3, and every component classify lists at degrees
-    0-6, vertex strata included, whose E-degree is its multiplicity.
+    from -ell*a - 2 to 3, and every component iter_rows lists at degrees
+    0-6, vertex strata included, whose E-degree is its multiplicity.  At
+    each degree, two more checks: the number of rows against
+    count_components, and classify's records against the rows.  The
+    dimensions are read from the rows, so they are checked even when
+    classify raises on a wrong count.
     """
 
     def lift_check(cone, m, a, e):
@@ -159,9 +167,20 @@ def _suite_dimension_cross_check(res: SuiteResult) -> None:
         yield got != (want is not None, want, want) and f"lift {lf}, toric count {want}"
 
     def component_checks(cone, m, degree):
-        for c in components.classify(cone, degree).components:
-            want = _toric_dimension(m, cone.ell[0], cone.vertex_dim, c.beta.coeffs[0], c.vertex_multiplicity)
-            yield c.dimension != want and f"{c}, toric count {want}"
+        rows = list(components.iter_rows(cone, degree))
+        for row in rows:
+            beta, _, mult, _, dim = row
+            want = _toric_dimension(m, cone.ell[0], cone.vertex_dim, beta[0], mult)
+            yield dim != want and f"row {row}, toric count {want}"
+        count = components.count_components(cone, degree)
+        yield len(rows) != count and f"iter_rows lists {len(rows)}, count_components says {count}"
+        # A record holds its row, with the class once more in its lift.
+        listed = [
+            (c.beta.coeffs, c.alpha_prime, c.vertex_multiplicity, c.tilde.beta, c.tilde.relative_degree, c.dimension)
+            for c in components.classify(cone, degree).components
+        ]
+        from_rows = [(beta, ap, mult, beta, rel, dim) for beta, ap, mult, rel, dim in rows]
+        yield listed != from_rows and f"classify lists {listed}, iter_rows lists {from_rows}"
 
     for m in range(1, 5):
         p = parabolic.build_parabolic(rootsys.build_root_system(rootsys.CartanType("A", m)), (1,))
@@ -241,13 +260,39 @@ _SUITES = (
 )
 
 
+# How many of a suite's failures each form of the report shows.
+SHOWN_FAILURES = 5
+
+
 def run_all() -> list[SuiteResult]:
     results = []
     for fn in _SUITES:
         res = SuiteResult(fn.__name__.removeprefix("_suite_").replace("_", "-"))
+        start = perf_counter()
         try:
             fn(res)
         except Exception as exc:  # a crashed suite is a failed suite
             res.failures.append(f"aborted: {exc!r}")
+        res.seconds = perf_counter() - start
         results.append(res)
     return results
+
+
+def to_json(results: list[SuiteResult]) -> str:
+    """The results as one JSON object, for `selfcheck --json`.
+
+    "pass" says whether every suite passed; "suites" gives each suite's
+    name, checks, failed (the number of failures), failures (the first
+    SHOWN_FAILURES of them) and seconds.
+    """
+    suites = [
+        {
+            "name": r.name,
+            "checks": r.checks,
+            "failed": len(r.failures),
+            "failures": r.failures[:SHOWN_FAILURES],
+            "seconds": r.seconds,
+        }
+        for r in results
+    ]
+    return json.dumps({"pass": all(r.ok for r in results), "suites": suites}, indent=2)

@@ -216,7 +216,7 @@ def test_affine_compare_a2(capsys):
 SELFCHECK_PASS = """\
 root-counts: 99 checks, 0 failures
 lines-dichotomy: 1192 checks, 0 failures
-dimension-cross-check: 2220 checks, 0 failures
+dimension-cross-check: 2724 checks, 0 failures
 ne-enumeration: 2772 checks, 0 failures
 classical-oracles: 29 checks, 0 failures
 selfcheck PASS
@@ -263,7 +263,7 @@ def test_selfcheck_detects_flipped_cartan_sign(monkeypatch, capsys):
     assert _selfcheck_counts(capsys) == {
         "root-counts": (99, 2),
         "lines-dichotomy": (1192, 0),
-        "dimension-cross-check": (2220, 336),
+        "dimension-cross-check": (2724, 336),
         "ne-enumeration": (2772, 0),
         "classical-oracles": (29, 2),
     }
@@ -325,15 +325,16 @@ def _raise_a3_node_1_chern_degree(monkeypatch):
 
 # Each suite's (checks, failures) under each fault, in _SUITES order: root-counts,
 # lines-dichotomy, dimension-cross-check, ne-enumeration, classical-oracles.
-# Under a wrong count, every classify call raises InternalError; each such call
-# is one failed check, so dimension-cross-check runs one check per degree in
-# place of one per component (2052 of 2220) and the other suites run in full.
+# Under a wrong count, every classify call raises InternalError, one failed check
+# each.  dimension-cross-check reads its dimensions from iter_rows, which does not
+# count, so it still checks every row and fails two checks per degree: the row
+# count against count_components, and the classify call.
 FAULT_COUNTS = {
-    _wrong_count: ((99, 0), (1192, 315), (2052, 252), (2772, 1848), (29, 8)),
-    _dropped_row: ((99, 0), (1192, 0), (2220, 0), (2772, 1758), (29, 0)),
-    _wrong_root_length: ((99, 1), (1192, 0), (2220, 0), (2772, 0), (29, 0)),
-    _empty_point_lifts: ((99, 0), (1192, 0), (2220, 48), (2772, 0), (29, 0)),
-    _raise_a3_node_1_chern_degree: ((99, 0), (1192, 0), (2220, 336), (2772, 0), (29, 1)),
+    _wrong_count: ((99, 0), (1192, 315), (2724, 504), (2772, 1848), (29, 8)),
+    _dropped_row: ((99, 0), (1192, 0), (2724, 0), (2772, 1758), (29, 0)),
+    _wrong_root_length: ((99, 1), (1192, 0), (2724, 0), (2772, 0), (29, 0)),
+    _empty_point_lifts: ((99, 0), (1192, 0), (2724, 48), (2772, 0), (29, 0)),
+    _raise_a3_node_1_chern_degree: ((99, 0), (1192, 0), (2724, 336), (2772, 0), (29, 1)),
 }
 
 
@@ -344,6 +345,30 @@ def test_selfcheck_fault_matrix(mutate, monkeypatch, capsys):
     mutate(monkeypatch)
     names = ("root-counts", "lines-dichotomy", "dimension-cross-check", "ne-enumeration", "classical-oracles")
     assert _selfcheck_counts(capsys) == dict(zip(names, FAULT_COUNTS[mutate]))
+
+
+def test_selfcheck_json_reports_what_the_text_form_prints(monkeypatch, capsys):
+    # Under a wrong count: the same exit code, counts and shown failures as the text form.
+    _wrong_count(monkeypatch)
+    code, text, _ = run(capsys, ["selfcheck"])
+    assert code == 3
+    shown = {}
+    for line in text.splitlines()[:-1]:
+        if line.startswith("  FAIL "):
+            shown[name][1].append(line.removeprefix("  FAIL "))
+        else:
+            name, rest = line.split(": ")
+            checks, failures = rest.removesuffix(" failures").split(" checks, ")
+            shown[name] = ((int(checks), int(failures)), [])
+    code, out, err = run(capsys, ["selfcheck", "--json"])
+    assert code == 3 and err == ""
+    doc = json.loads(out)
+    assert doc["pass"] is False
+    assert {s["name"]: ((s["checks"], s["failed"]), s["failures"]) for s in doc["suites"]} == shown
+    assert [s["name"] for s in doc["suites"]] == list(shown)
+    assert dict(zip(shown, FAULT_COUNTS[_wrong_count])) == {n: c for n, (c, _) in shown.items()}
+    assert all(len(s["failures"]) == 5 for s in doc["suites"] if s["failed"] >= 5)
+    assert all(isinstance(s["seconds"], float) and s["seconds"] >= 0 for s in doc["suites"])
 
 
 def test_module_entry_point_runs():

@@ -1,5 +1,6 @@
 """Component classification: index sets, dimensions, multiplicities."""
 
+import gc
 import inspect
 from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations, product
@@ -92,41 +93,38 @@ A1_POINT = build_parabolic(build_root_system(CartanType("A", 1)), (1,))
 
 
 # The records with hand-written constructors must still behave as the
-# frozen dataclasses they are declared to be; the per-class ones are slotted.
-# They are declared with init=False, so the __init__ each one has is the one
-# written in its module, and replace() builds the copy through it.
-@pytest.mark.parametrize(
-    "cls,args,change,text,slotted",
-    [
-        (EffectiveClass, ((2, 0, 1),), ("coeffs", (0, 3)), "EffectiveClass(coeffs=(2, 0, 1))", True),
-        (TildeClass, ((2, 1), -3), ("relative_degree", 5), "TildeClass(beta=(2, 1), relative_degree=-3)", True),
-        (
-            ComponentDescriptor,
-            (EffectiveClass((1,)), 1, 0, TildeClass((1,), 1), 4),
-            ("dimension", 5),
-            "ComponentDescriptor(beta=EffectiveClass(coeffs=(1,)), alpha_prime=1, vertex_multiplicity=0, "
-            "tilde=TildeClass(beta=(1,), relative_degree=1), dimension=4)",
-            True,
-        ),
-        (
-            AffineComparison,
-            (3, 1, 4, False, ((1,),), ((1, 1),)),
-            ("ir_count", 1),
-            "AffineComparison(degree=3, ne_count=1, ir_count=4, match=False, factor_nodes=((1,),), "
-            "factor_comarks=((1, 1),))",
-            False,
-        ),
-        (
-            ConeSpace,
-            (A1_POINT, (2,), 1),
-            ("vertex_dim", 2),
-            f"ConeSpace(parabolic={A1_POINT!r}, ell=(2,), vertex_dim=1)",
-            False,
-        ),
-    ],
-    ids=["EffectiveClass", "TildeClass", "ComponentDescriptor", "AffineComparison", "ConeSpace"],
-)
-def test_record_constructors_keep_the_dataclass_contract(cls, args, change, text, slotted, monkeypatch):
+# frozen, slotted dataclasses they are declared to be.  They are declared
+# with init=False, so the __init__ each one has is the one written in its
+# module, and replace() builds the copy through it.
+RECORDS = [
+    (EffectiveClass, ((2, 0, 1),), ("coeffs", (0, 3)), "EffectiveClass(coeffs=(2, 0, 1))"),
+    (TildeClass, ((2, 1), -3), ("relative_degree", 5), "TildeClass(beta=(2, 1), relative_degree=-3)"),
+    (
+        ComponentDescriptor,
+        (EffectiveClass((1,)), 1, 0, TildeClass((1,), 1), 4),
+        ("dimension", 5),
+        "ComponentDescriptor(beta=EffectiveClass(coeffs=(1,)), alpha_prime=1, vertex_multiplicity=0, "
+        "tilde=TildeClass(beta=(1,), relative_degree=1), dimension=4)",
+    ),
+    (
+        AffineComparison,
+        (3, 1, 4, False, ((1,),), ((1, 1),)),
+        ("ir_count", 1),
+        "AffineComparison(degree=3, ne_count=1, ir_count=4, match=False, factor_nodes=((1,),), "
+        "factor_comarks=((1, 1),))",
+    ),
+    (
+        ConeSpace,
+        (A1_POINT, (2,), 1),
+        ("vertex_dim", 2),
+        f"ConeSpace(parabolic={A1_POINT!r}, ell=(2,), vertex_dim=1)",
+    ),
+]
+RECORD_IDS = ["EffectiveClass", "TildeClass", "ComponentDescriptor", "AffineComparison", "ConeSpace"]
+
+
+@pytest.mark.parametrize("cls,args,change,text", RECORDS, ids=RECORD_IDS)
+def test_record_constructors_keep_the_dataclass_contract(cls, args, change, text, monkeypatch):
     init = cls.__dict__["__init__"]
     assert cls.__init__ is init and init.__code__.co_filename == inspect.getfile(cls)
     assert not cls.__dataclass_params__.init
@@ -150,11 +148,31 @@ def test_record_constructors_keep_the_dataclass_contract(cls, args, change, text
         setattr(rec, name, value)
     with pytest.raises(FrozenInstanceError):
         delattr(rec, name)
-    if slotted:
-        assert not hasattr(rec, "__dict__")
-    else:
-        assert vars(rec) == dict(zip(names, args))
+    assert not hasattr(rec, "__dict__")
     assert getattr(rec, name) == args[names.index(name)]
+
+
+@pytest.mark.parametrize("cls,args", [record[:2] for record in RECORDS], ids=RECORD_IDS)
+def test_each_record_is_one_gc_tracked_object(cls, args):
+    # gc.get_count()[0] counts tracked objects allocated less those freed since the last
+    # collection, and the collector runs when it passes a threshold.  A record that made a
+    # second tracked object (an instance __dict__, say) would move every collection of a pass
+    # that builds records.  The warm-up and the slack leave room for interpreter noise.
+    n = 1000
+    warm = [cls(*args) for _ in range(10)]
+    built = [None] * n
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = gc.get_count()[0]
+        for i in range(n):
+            built[i] = cls(*args)
+        grown = gc.get_count()[0] - start
+    finally:
+        if enabled:
+            gc.enable()
+    assert n <= grown <= n + n // 100
+    assert built[-1] == warm[0]
 
 
 def test_cone_space_replace_runs_the_checks():
