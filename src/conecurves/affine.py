@@ -9,9 +9,11 @@ the untwisted affine algebra correspond to nonnegative integer vectors
 compare_ne_ir sets those weight counts, taken over the simple factors
 of the Picard lattice of the base (the connected components of the
 marked subdiagram), side by side with the count of effective classes of
-a given degree under the minimal ample embedding; the factors and their
-comarks are read from the parabolic, which computes them once with
-rootsys.highest_roots and rootsys.subsystem_comarks.  It is a diagnostic:
+a given degree under the minimal ample embedding.  The factors are read
+from the parabolic, which computes them once with rootsys.highest_roots
+and rootsys.subsystem_comarks and splits them once into their node
+tuples, their comark vectors and those vectors concatenated, so every
+comparison on one parabolic shares those tuples.  It is a diagnostic:
 both counts are reported and equality is never assumed.  Each count is
 one generating-function coefficient from components.count_solutions:
 the weight count summed over all splittings of the degree among the
@@ -104,17 +106,17 @@ def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:
     untwisted affine algebra, summed over all splittings
     l_1 + ... + l_r = degree; that sum is the coefficient of t^degree in
     the product of the factors' series, so it is counted on the factor
-    comark vectors concatenated.  With every node marked there is a
-    single factor, the whole algebra.  Both counts are returned with a
-    match flag; no equality is asserted.
+    comark vectors concatenated, which the parabolic keeps with its
+    factors (ParabolicData.factor_split).  With every node marked there
+    is a single factor, the whole algebra.  Both counts are returned
+    with a match flag; no equality is asserted.
     """
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
     ell = cone.ell
     if ell.count(1) != len(ell):
         raise InputError("the comparison is defined for the minimal ample embedding (all degrees 1)")
-    factors = cone.parabolic.factors
-    nodes, vecs = zip(*factors) if factors else ((), ())
+    nodes, vecs, joined = cone.parabolic.factor_split
     ne_count = components.count_solutions(ell, degree)
-    ir_count = components.count_solutions(sum(vecs, ()), degree)
+    ir_count = components.count_solutions(joined, degree)
     return AffineComparison(degree, ne_count, ir_count, ne_count == ir_count, nodes, vecs)

@@ -30,9 +30,9 @@ stay few when stdout is unbuffered (python -u, PYTHONUNBUFFERED=1).
 Writing starts before the last row and the last stratum's lift are
 checked, so on exit code 3 stdout may hold a truncated document.
 
-Each command imports the modules it uses when it runs, so roots and gp
-load none of components, conegeom and affine, and ne and classify do not
-load affine.
+Each command imports the modules it uses when it runs, so roots loads
+none of parabolic, components, conegeom and affine, gp loads none of the
+last three, and ne and classify do not load affine.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from .errors import InputError, InternalError
-from .parabolic import build_parabolic, kappa, minimal_ample, parse_alpha_p, parse_lambda
 from .rootsys import CartanType, build_root_system, highest_root, parse_decimal, rho
 
 if TYPE_CHECKING:
@@ -114,6 +113,7 @@ def _expanded_lambda(cone: ConeSpace) -> list[int]:
 
 def _make_cone(args: argparse.Namespace) -> ConeSpace:
     from .conegeom import build_cone
+    from .parabolic import build_parabolic, minimal_ample, parse_alpha_p, parse_lambda
 
     rs = build_root_system(CartanType.parse(args.type))
     p = build_parabolic(rs, parse_alpha_p(args.parabolic))
@@ -215,6 +215,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 
 def cmd_gp(args: argparse.Namespace) -> int:
+    from .parabolic import build_parabolic, kappa, minimal_ample, parse_alpha_p
+
     rs = build_root_system(CartanType.parse(args.type))
     p = build_parabolic(rs, parse_alpha_p(args.parabolic))
     print(f"type {rs.cartan_type}")
@@ -283,6 +285,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_affine_compare(args: argparse.Namespace) -> int:
     from .affine import compare_ne_ir
     from .conegeom import build_cone
+    from .parabolic import build_parabolic, minimal_ample
 
     rs = build_root_system(CartanType.parse(args.type))
     p = build_parabolic(rs, tuple(range(1, rs.rank + 1)))

@@ -7,16 +7,18 @@ set indexes the Picard lattice of G/P.  The nilradical consists of the
 positive roots whose support meets the marked set; its size is
 dim(G/P), and pairing the i-th marked coroot with the sum of nilradical
 roots gives the degree c_i of the anticanonical class on the dual curve
-class (the Fano index data of G/P).  The connected components of the
-marked subdiagram are the simple factors of the Picard lattice; each
-parabolic computes them and their comarks once, on first use.
+class (the Fano index data of G/P); build_parabolic selects the
+nilradical on the root system's support masks.  The connected components
+of the marked subdiagram are the simple factors of the Picard lattice;
+each parabolic computes them and their comarks once, on first use, and
+splits them once more, on first use, into the inputs of
+affine.compare_ne_ir.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from operator import mul
 
 from .errors import InputError
@@ -49,6 +51,18 @@ class ParabolicData:
         rs = self.rs
         return tuple((nodes, subsystem_comarks(rs, theta)) for nodes, theta in highest_roots(rs, self.alpha_p))
 
+    @cached_property
+    def factor_split(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """factors as affine.compare_ne_ir reads them: the node tuples, the comark vectors, and those joined.
+
+        Computed on first use from factors and kept like it, so every
+        comparison on this parabolic shares the same three tuples; an
+        InternalError from factors is raised again on every use.
+        """
+        factors = self.factors
+        nodes, vecs = zip(*factors) if factors else ((), ())
+        return nodes, vecs, sum(vecs, ())
+
 
 def build_parabolic(rs: RootSystem, alpha_p) -> ParabolicData:
     """Build parabolic data from a set of 1-based marked node labels."""
@@ -56,12 +70,12 @@ def build_parabolic(rs: RootSystem, alpha_p) -> ParabolicData:
     if not marked:
         raise InputError("alpha(p) must be nonempty: the base variety must have positive dimension")
     rank = rs.rank
-    mask = [False] * rank
+    bits = 0
     for i in marked:
         if not 1 <= i <= rank:
             raise InputError(f"parabolic index {i} out of range 1..{rank}")
-        mask[i - 1] = True
-    nil = [g for g in rs.positive_roots if any(compress(g, mask))]
+        bits |= 1 << i - 1
+    nil = [g for g, m in zip(rs.positive_roots, rs.support_masks) if m & bits]
     total = tuple(map(sum, zip(*nil)))
     # <alpha_i^vee, total> for each marked i: row i of the Cartan matrix against the summed nilradical.
     chern = tuple([sum(map(mul, rs.cartan[i - 1], total)) for i in marked])

@@ -31,7 +31,8 @@ Everything is exact integer arithmetic; nothing here is floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property
+from itertools import compress, repeat
 from operator import gt, mul
 
 from .errors import InputError, InternalError
@@ -111,6 +112,19 @@ class RootSystem:
     def rank(self) -> int:
         return self.cartan_type.rank
 
+    @cached_property
+    def support_masks(self) -> tuple[int, ...]:
+        """The support of each positive root as a bitmask, bit i - 1 for node i, in root order.
+
+        build_root_system fills it from the reflection closure, which
+        carries each root's mask up from the simple roots; any other
+        instance, such as one dataclasses.replace makes, computes it here
+        from its own roots on first use and keeps it.  It is not a field,
+        so equality, hashing and repr ignore it.
+        """
+        bits = [1 << i for i in range(self.rank)]
+        return tuple(map(sum, map(compress, repeat(bits), self.positive_roots)))
+
 
 def grade_key(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Sort key for the package-wide ordering of integer vectors.
@@ -153,8 +167,8 @@ def cartan_matrix(ctype: CartanType) -> Matrix:
     return tuple(map(tuple, C))
 
 
-def _generate_positive_roots(C: Matrix) -> tuple[Root, ...]:
-    """All positive roots by simple-reflection closure from the simple roots.
+def _generate_positive_roots(C: Matrix) -> tuple[tuple[Root, ...], tuple[int, ...]]:
+    """All positive roots by simple-reflection closure from the simple roots, with their support masks.
 
     Every positive root that is not simple is lowered by some simple
     reflection (Humphreys, Introduction to Lie Algebras, 10.2-10.3): it
@@ -166,23 +180,29 @@ def _generate_positive_roots(C: Matrix) -> tuple[Root, ...]:
     <alpha_j^vee, g> for every j: s_i(g) is a copy of g with coordinate
     i raised by -q, and its pairings are g's less q times column i of
     the Cartan matrix, which moves only the entries at i and at the
-    nodes bonded to i, so the test reads one entry.
+    nodes bonded to i, so the test reads one entry.  After the pairings
+    the same list holds g's support mask (bit j for node j + 1), which
+    is positive, so the test never picks it; s_i(g)'s mask is g's with
+    bit i set.  Each round's new roots travel with their lists, so no
+    root's list is looked up again to raise it.
 
     The roots are returned in grade_key order by two stable sorts:
     descending, which orders each height by decreasing leading
-    coefficients, then by height (coordinate sum).
+    coefficients, then by height (coordinate sum); the masks follow in
+    the same order.
     """
     n = len(C)
     # bonds[i]: the nonzero entries (j, C[j][i]) of column i, the only pairings s_i moves.
     bonds = [[(j, row[i]) for j, row in enumerate(C) if row[i]] for i in range(n)]
+    bits = [1 << i for i in range(n)]
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    pairings: dict[Root, list[int]] = dict(zip(simples, map(list, zip(*C))))
-    frontier: list[Root] = simples
+    # Each root with its list: <alpha_j^vee, g> for each j, then g's support mask.
+    frontier: list[tuple[Root, list[int]]] = [(g, [*col, bit]) for g, col, bit in zip(simples, zip(*C), bits)]
+    pairings: dict[Root, list[int]] = dict(frontier)
     # A root found in round r has height >= r + 1, so a finite type stops within its highest root's height.
     for _ in range(_MAX_HEIGHT):
-        grown: list[Root] = []
-        for g in frontier:
-            gp = pairings[g]
+        grown: list[tuple[Root, list[int]]] = []
+        for g, gp in frontier:
             for i, q in enumerate(gp):
                 if q < 0:
                     raised = list(g)
@@ -192,19 +212,24 @@ def _generate_positive_roots(C: Matrix) -> tuple[Root, ...]:
                         pairings[up] = moved = list(gp)
                         for j, c in bonds[i]:
                             moved[j] -= q * c
-                        grown.append(up)
+                        moved[n] |= bits[i]
+                        grown.append((up, moved))
         if len(pairings) > _MAX_ROOTS:
             raise InternalError("too many positive roots generated; invalid Cartan data")
         if not grown:
-            return tuple(sorted(sorted(pairings, reverse=True), key=sum))
+            roots = tuple(sorted(sorted(pairings, reverse=True), key=sum))
+            return roots, tuple([pairings[g][n] for g in roots])
         frontier = grown
     raise InternalError("root generation did not terminate; invalid Cartan data")
 
 
 def build_root_system(ctype: CartanType) -> RootSystem:
-    """Construct the full root system of a simple type."""
+    """Construct the full root system of a simple type, with its support masks filled in."""
     C = cartan_matrix(ctype)
-    return RootSystem(ctype, C, _generate_positive_roots(C), _DYNKIN[ctype.series](ctype.rank)[1])
+    roots, masks = _generate_positive_roots(C)
+    rs = RootSystem(ctype, C, roots, _DYNKIN[ctype.series](ctype.rank)[1])
+    rs.__dict__["support_masks"] = masks  # where cached_property would keep it
+    return rs
 
 
 def pair(rs: RootSystem, i: int, root: Root) -> int:
@@ -224,30 +249,35 @@ def rho(rs: RootSystem) -> Weight:
 def highest_roots(rs: RootSystem, nodes: tuple[int, ...]) -> list[tuple[tuple[int, ...], Root]]:
     """Components of the subdiagram on `nodes`, by smallest node, each with its highest root.
 
-    One downward pass over the positive roots.  A highest root dominates
-    every root of its component and is supported on all of it, so a root
-    whose support avoids the components found so far is the highest root
-    of a new component, its support.  Any other root supported on `nodes`
-    must lie in one component and be dominated by its highest root, or
-    InternalError is raised.
+    One downward pass over the positive roots, on their support masks.
+    A highest root dominates every root of its component and is
+    supported on all of it, so a root whose support meets no component
+    found so far is the highest root of a new component, its support.
+    A root whose support leaves `nodes` is skipped.  Any other root must
+    lie in one component, or InternalError "straddles" is raised, and
+    every component's roots must be dominated by its highest root: the
+    componentwise max of them is compared with it once per component,
+    and InternalError "not dominated" names the first root that is not.
     """
-    # owner[i]: index in `found` of node i+1's component, None while uncovered, -1 outside `nodes`.
-    owner: list[int | None] = [None if i in nodes else -1 for i in range(1, rs.rank + 1)]
-    found: list[tuple[tuple[int, ...], Root]] = []
-    for g in reversed(rs.positive_roots):
-        owners = set(compress(owner, g))
-        if -1 in owners:
+    outside = ~sum({1 << i - 1 for i in nodes if 1 <= i <= rs.rank})
+    # One (support mask, highest root, its roots) per component, in the order found.
+    found: list[tuple[int, Root, list[Root]]] = []
+    for g, m in zip(reversed(rs.positive_roots), reversed(rs.support_masks)):
+        if m & outside:
             continue
-        if owners == {None}:
-            support = tuple(i for i, c in enumerate(g, 1) if c)
-            for i in support:
-                owner[i - 1] = len(found)
-            found.append((support, g))
-        elif len(owners) > 1:
-            raise InternalError(f"root {g} straddles components of the subdiagram on nodes {sorted(nodes)}")
-        elif any(map(gt, g, theta := found[owners.pop()][1])):
-            raise InternalError(f"root {g} is not dominated by the highest root {theta} of its component")
-    return sorted(found)
+        for mask, _, roots in found:
+            if m & mask:
+                if m & ~mask:
+                    raise InternalError(f"root {g} straddles components of the subdiagram on nodes {sorted(nodes)}")
+                roots.append(g)
+                break
+        else:
+            found.append((m, g, [g]))
+    for _, theta, roots in found:
+        if tuple(map(max, zip(*roots))) != theta:
+            bad = next(g for g in roots if any(map(gt, g, theta)))
+            raise InternalError(f"root {bad} is not dominated by the highest root {theta} of its component")
+    return sorted((tuple(i for i, c in enumerate(theta, 1) if c), theta) for _, theta, _ in found)
 
 
 def highest_root(rs: RootSystem) -> Root:
@@ -266,17 +296,18 @@ def subsystem_comarks(rs: RootSystem, theta: Root) -> tuple[int, ...]:
     half square length of theta in the same normalization.  The affine
     node contributes comark 1.
     """
-    d = rs.symmetrizer
-    norm = sum(t * dt * sum(c * u for c, u in zip(row, theta)) for t, dt, row in zip(theta, d, rs.cartan))
+    weighted = list(map(mul, theta, rs.symmetrizer))  # theta_j * d_j
+    # (theta, theta) = sum_j theta_j * d_j * <alpha_j^vee, theta>
+    norm = sum(map(mul, weighted, [sum(map(mul, row, theta)) for row in rs.cartan]))
     if norm <= 0 or norm % 2:
         raise InternalError(f"square length {norm} of the highest root is not a positive even integer")
     d_theta = norm // 2
     out = [1]
-    for j, (t, dj) in enumerate(zip(theta, d), 1):
+    for j, (t, w) in enumerate(zip(theta, weighted), 1):
         if t:
-            c, r = divmod(t * dj, d_theta)
+            c, r = divmod(w, d_theta)
             if r or c < 1:
-                raise InternalError(f"comark {t * dj}/{d_theta} at node {j} is not a positive integer")
+                raise InternalError(f"comark {w}/{d_theta} at node {j} is not a positive integer")
             out.append(c)
     return tuple(out)
 

@@ -230,17 +230,28 @@ def test_compare_ne_ir_computes_the_factors_once_per_parabolic(monkeypatch):
     calls = count_highest_roots_calls(monkeypatch)
     rs = build_root_system(CartanType("A", 4))
     p = build_parabolic(rs, (1, 3, 4))
+    masks = rs.support_masks
     cone = build_cone(p, minimal_ample(p), 1)
     results = [compare_ne_ir(cone, d) for d in range(11)]
     assert len(calls) == 1
     assert {(c.factor_nodes, c.factor_comarks) for c in results} == {(((1,), (3, 4)), ((1, 1), (1, 1, 1)))}
-    # The filled cache is not a field: the parabolic still equals, hashes
-    # and prints like a freshly built one.
+    # Each value filled on first use is kept: the root system's masks, the
+    # factors and their split, whose tuples every record shares.
+    assert rs.support_masks is masks
+    nodes, vecs, joined = p.factor_split
+    assert joined == (1, 1, 1, 1, 1)
+    assert all(c.factor_nodes is nodes and c.factor_comarks is vecs for c in results)
+    # The filled values are not fields: the parabolic and its root system
+    # still equal, hash and print like ones with nothing filled yet.
     fresh = build_parabolic(rs, (1, 3, 4))
-    assert "factors" in vars(p) and "factors" not in vars(fresh)
-    assert p == fresh
-    assert hash(p) == hash(fresh)
-    assert repr(p) == repr(fresh)
+    bare_rs = replace(rs)
+    assert {"factors", "factor_split"} <= vars(p).keys() and not {"factors", "factor_split"} & vars(fresh).keys()
+    assert "support_masks" in vars(rs) and "support_masks" not in vars(bare_rs)
+    for filled, bare in ((p, fresh), (rs, bare_rs)):
+        assert filled == bare
+        assert hash(filled) == hash(bare)
+        assert repr(filled) == repr(bare)
+    assert bare_rs.support_masks == masks
 
 
 def test_replaced_parabolic_computes_its_factors_again(monkeypatch):
@@ -248,9 +259,22 @@ def test_replaced_parabolic_computes_its_factors_again(monkeypatch):
     rs = build_root_system(CartanType("B", 2))
     p = build_parabolic(rs, (1, 2))
     assert p.factors == (((1, 2), (1, 1, 1)),)
+    assert p.factor_split == (((1, 2),), ((1, 1, 1),), (1, 1, 1))
     bad = replace(p, rs=replace(rs, symmetrizer=(1, 1)))
     with pytest.raises(InternalError, match="comark 1/2 at node 1"):
         bad.factors
     assert len(calls) == 2
     assert p.factors == (((1, 2), (1, 1, 1)),)
     assert len(calls) == 2
+    # The split is never kept past an error either: every use asks again.
+    for tries in (3, 4):
+        with pytest.raises(InternalError, match="comark 1/2 at node 1"):
+            bad.factor_split
+        assert len(calls) == tries
+    assert not {"factors", "factor_split"} & vars(bad).keys()
+    # A root system replaced with other roots computes its own masks.
+    a2 = build_root_system(CartanType("A", 2))
+    assert a2.support_masks == (0b01, 0b10, 0b11)
+    more = replace(a2, positive_roots=a2.positive_roots + ((2, 0),))
+    assert "support_masks" not in vars(more)
+    assert more.support_masks == (0b01, 0b10, 0b11, 0b01)

@@ -276,7 +276,7 @@ LAZY_MODULES = {"conecurves.components", "conecurves.conegeom", "conecurves.affi
 @pytest.mark.parametrize(
     "argv,absent",
     [
-        (["roots", "--type", "A1"], LAZY_MODULES),
+        (["roots", "--type", "A1"], LAZY_MODULES | {"conecurves.parabolic"}),
         (["gp", "--type", "F4", "--parabolic", "2,3"], LAZY_MODULES),
         (["ne", *E8_FLAG, "--degree", "2"], {"conecurves.affine"}),
         (["classify", *E8_FLAG, "--degree", "2"], {"conecurves.affine"}),

@@ -1,9 +1,10 @@
 """Root-system kernel: counts, pairings, highest roots, Weyl dimensions."""
 
 import hashlib
+import random
 import re
 from dataclasses import replace
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -212,6 +213,54 @@ def test_highest_root_requires_a_connected_diagram():
         highest_root(split)
 
 
+def _highest_roots_oracle(rs, nodes):
+    """Independent oracle for highest_roots, by brute force.
+
+    Components are grown from the Cartan bonds by graph search, and each
+    component's highest root is the grade_key-largest positive root
+    supported on it.
+    """
+    left = set(nodes)
+    found = []
+    while left:
+        comp, stack = set(), [min(left)]
+        while stack:
+            i = stack.pop()
+            if i not in comp:
+                comp.add(i)
+                stack.extend(j for j in left if j != i and rs.cartan[i - 1][j - 1])
+        left -= comp
+        inside = [g for g in rs.positive_roots if {i for i, c in enumerate(g, 1) if c} <= comp]
+        found.append((tuple(sorted(comp)), max(inside, key=grade_key)))
+    return found
+
+
+def _oracle_subsets():
+    """Every subset of every type of rank <= 8, and 200 seeded subsets of each largest classical type."""
+    for name in types_up_to(8):
+        rank = int(name[1:])
+        for k in range(1, rank + 1):
+            for subset in combinations(range(1, rank + 1), k):
+                yield name, subset
+    rng = random.Random(20041)
+    for name in ("A21", "B15", "C15", "D16"):
+        rank = int(name[1:])
+        for _ in range(200):
+            yield name, tuple(rng.sample(range(1, rank + 1), rng.randint(1, rank)))
+
+
+def test_highest_roots_agree_with_a_brute_force_oracle():
+    systems = {}
+    checked = 0
+    for name, subset in _oracle_subsets():
+        if name not in systems:
+            systems[name] = build_root_system(CartanType.parse(name))
+        rs = systems[name]
+        assert highest_roots(rs, subset) == _highest_roots_oracle(rs, subset), (name, subset)
+        checked += 1
+    assert checked == 2465 + 800
+
+
 @pytest.mark.parametrize("name", types_up_to(4))
 def test_symmetrizer_makes_cartan_symmetric(name):
     rs = build_root_system(CartanType.parse(name))
@@ -232,6 +281,17 @@ def test_symmetrizer_frozen_examples():
 
 
 ADMITTED_TYPES = [f"{s}{n}" for s in "ABCDEFG" for n in range(_MIN_RANK[s], _MAX_RANK[s] + 1)]
+
+
+@pytest.mark.parametrize("name", ADMITTED_TYPES)
+def test_support_masks_mark_the_nonzero_coordinates(name):
+    # build_root_system fills the masks from the reflection closure; a
+    # replaced copy has none until first use, then computes them from its roots.
+    rs = build_root_system(CartanType.parse(name))
+    copy = replace(rs)
+    assert "support_masks" in vars(rs) and "support_masks" not in vars(copy)
+    want = tuple(sum(1 << i for i, c in enumerate(g) if c) for g in rs.positive_roots)
+    assert rs.support_masks == copy.support_masks == want
 
 
 @pytest.mark.parametrize("name", ADMITTED_TYPES)
@@ -330,6 +390,18 @@ def test_subsystem_comarks_needs_a_positive_even_square_length(symmetrizer, thet
     rs = replace(build_root_system(CartanType("A", 2)), symmetrizer=symmetrizer)
     with pytest.raises(InternalError, match=f"^square length {norm} of the highest root is not a positive even integer$"):
         subsystem_comarks(rs, theta)
+
+
+@pytest.mark.parametrize(
+    "symmetrizer, comark",
+    # A2's theta = (1, 1) pairs to 1 with both coroots, so its square length is d_1 + d_2.
+    # A quotient of at least 1 with a remainder, an exact 0, and an exact negative.
+    [((3, 1), "3/2"), ((0, 2), "0/1"), ((-1, 3), "-1/1")],
+)
+def test_subsystem_comarks_needs_positive_integer_comarks(symmetrizer, comark):
+    rs = replace(build_root_system(CartanType("A", 2)), symmetrizer=symmetrizer)
+    with pytest.raises(InternalError, match=f"^comark {comark} at node 1 is not a positive integer$"):
+        subsystem_comarks(rs, (1, 1))
 
 
 def test_weyl_dim_a1_oracle():
