@@ -11,7 +11,7 @@ from importlib import import_module as _import_module
 # are resolved on first access by __getattr__, so importing the package
 # (and so `python -m conecurves`) loads no submodule it does not use.
 _EXPORTS = {
-    "affine": ("AffineComparison", "AffineData", "comarks", "compare_ne_ir", "level_weights"),
+    "affine": ("AffineComparison", "AffineData", "comarks", "compare_ne_ir"),
     "components": (
         "ComponentDescriptor",
         "ComponentReport",
@@ -38,7 +38,6 @@ _EXPORTS = {
         "is_nonempty",
         "lemma_equiv_check",
         "lift",
-        "pushforward_degree",
     ),
     "errors": ("InputError", "InternalError"),
     "parabolic": ("ParabolicData", "build_parabolic", "kappa", "minimal_ample", "validate_ample"),

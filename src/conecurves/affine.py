@@ -1,17 +1,18 @@
-"""Untwisted affine level combinatorics and the effective-class comparison.
+"""Untwisted affine comarks and the effective-class comparison.
 
 The comarks of a simple type are the coefficients of the highest root's
 coroot expansion, prefixed with 1 at the affine node; their sum is the
 dual Coxeter number.  Dominant integrable weights of level exactly L of
 the untwisted affine algebra correspond to nonnegative integer vectors
-(m_0, ..., m_r) with sum(comark[i] * m_i) = L.
+(m_0, ..., m_r) with sum(comark[i] * m_i) = L.  They are counted here,
+never listed.
 
 compare_ne_ir sets those weight counts, taken over the simple factors
 of the Picard lattice of the base (the connected components of the
 marked subdiagram), side by side with the count of effective classes of
 a given degree under the minimal ample embedding.  The factors are read
-from the parabolic, which computes them once with rootsys.highest_roots
-and rootsys.subsystem_comarks and splits them once into their node
+from the parabolic, which computes them once, on first use, with
+rootsys.highest_roots and rootsys.subsystem_comarks as their node
 tuples, their comark vectors and those vectors concatenated, so every
 comparison on one parabolic shares those tuples.  It is a diagnostic:
 both counts are reported and equality is never assumed.  Each count is
@@ -43,18 +44,6 @@ def comarks(ctype: CartanType) -> AffineData:
     """Comarks of the untwisted affine algebra of a simple type."""
     rs = build_root_system(ctype)
     return AffineData(ctype, subsystem_comarks(rs, highest_root(rs)))
-
-
-def level_weights(a: AffineData, level: int) -> list[tuple[int, ...]]:
-    """Dominant affine weights of level exactly `level`.
-
-    All nonnegative vectors (m_0, ..., m_r) with sum(comark[i] * m_i) =
-    level, ordered by ascending coordinate sum then decreasing leading
-    coordinates.  Level 0 yields only the vacuum.
-    """
-    if level < 0:
-        raise InputError(f"level must be >= 0, got {level}")
-    return list(components.graded_solutions(a.comarks, level))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -106,9 +95,9 @@ def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:
     untwisted affine algebra, summed over all splittings
     l_1 + ... + l_r = degree; that sum is the coefficient of t^degree in
     the product of the factors' series, so it is counted on the factor
-    comark vectors concatenated, which the parabolic keeps with its
-    factors (ParabolicData.factor_split).  With every node marked there
-    is a single factor, the whole algebra.  Both counts are returned
+    comark vectors concatenated, which the parabolic keeps
+    (ParabolicData.factor_split).  With every node marked there is a
+    single factor, the whole algebra.  Both counts are returned
     with a match flag; no equality is asserted.
     """
     if degree < 0:

@@ -46,22 +46,22 @@ move its collections.
 Index sets come from one enumerator, graded_solutions, which emits the
 vectors of a fixed weighted degree already in grade_key order (ascending
 coordinate sum, then decreasing lexicographic), so nothing is sorted
-afterwards; ne and affine.level_weights list through it.  conegeom.lift
+afterwards; ne and checked_solutions list through it.  conegeom.lift
 is the one source of l, e and x.
 
 Sizes come from one counting routine, count_solutions, which never
 lists anything: the number of nonnegative v with <v, w> = t is the
 coefficient of x^t in prod 1/(1 - x^w_i) (Stanley, Enumerative
 Combinatorics Vol. 1, ch. 1 and 4).  It has two routes to that
-coefficient, chosen from the inputs alone.  Small targets (t <= 64) and
-inputs with a large weight sum D take an O(k * t) integer recurrence,
-which is also the reference the tests hold the other route to.  Large
-targets take Bostan-Mori polynomial halving (Bostan and Mori, SOSA
-2021), O(f * D * log t) with f <= D the number of factors, whenever its
-operation estimate is below the recurrence's k * t.  Without lines,
-the component count sum_{d' <= d} |ne(d')| is the same coefficient with
-one more weight-1 coordinate: the solutions of <beta, ell> + m = d,
-where the slack m = d - d' is the vertex multiplicity.
+coefficient, chosen from the inputs alone by one operation estimate.
+Small targets and inputs with a large weight sum D take an O(k * t)
+integer recurrence, which is also the reference the tests hold the other
+route to.  Large targets take Bostan-Mori polynomial halving (Bostan and
+Mori, SOSA 2021), O(f * D * log t) with f <= D the number of factors,
+whenever its operation estimate is below the recurrence's k * t.
+Without lines, the component count sum_{d' <= d} |ne(d')| is the same
+coefficient with one more weight-1 coordinate: the solutions of <beta,
+ell> + m = d, where the slack m = d - d' is the vertex multiplicity.
 affine.compare_ne_ir takes both of its counts from it, and classify
 checks its component list against it.  A coefficient depends only on
 (weights, t), so count_solutions keeps one bounded memo of them: the
@@ -239,11 +239,6 @@ def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[in
         yield from fill((), 0, s, target)
 
 
-# Targets up to this take the recurrence without weighing the halving route.
-# Since f >= k and D >= k (see count_solutions), the estimate is at least
-# k * (1 + _HALVING_FACTOR_COST) * bitlen(target) = 17k * bitlen(target), which
-# is at least k * target for every target <= 119; so this only skips the estimate.
-_HALVING_MIN_TARGET = 64
 # Fixed cost, in coefficient operations, of multiplying in one factor on the halving route.
 _HALVING_FACTOR_COST = 16
 # Most (weights, target) pairs count_solutions remembers.  A sweep asks for a few
@@ -264,21 +259,21 @@ def count_solutions(weights: tuple[int, ...], target: int) -> int:
     multiplies a polynomial of at most about D = sum(weights)
     coefficients by each of at most f = sum(w & -w) factors, so its
     estimate is f * (D + _HALVING_FACTOR_COST) * bitlen(target), the
-    constant standing for the fixed cost of one factor.  A target of at
-    most _HALVING_MIN_TARGET takes the recurrence without the estimate;
-    a larger one takes the halving route when the estimate is below
-    k * target.  A huge weight makes D huge, so it always takes the
-    recurrence, where it costs nothing beyond the target.  Zero for a
+    constant standing for the fixed cost of one factor.  The halving
+    route runs when the estimate is below k * target.  Since f >= k and
+    D >= k, the estimate is at least 17k * bitlen(target), which is at
+    least k * target for every target <= 119, so small targets always
+    take the recurrence.  A huge weight makes D huge, so it always takes
+    the recurrence, where it costs nothing beyond the target.  Zero for a
     negative target, one for target 0.  Results are memoised per
     (weights, target), the _COUNT_MEMO_SIZE most recently used, so the
     weights must be a tuple; __wrapped__ is the uncached function.
     """
     if target < 0:
         return 0
-    if target > _HALVING_MIN_TARGET:
-        factors = sum(w & -w for w in weights)
-        if factors * (sum(weights) + _HALVING_FACTOR_COST) * target.bit_length() < len(weights) * target:
-            return _count_by_halving(weights, target)
+    factors = sum(w & -w for w in weights)
+    if factors * (sum(weights) + _HALVING_FACTOR_COST) * target.bit_length() < len(weights) * target:
+        return _count_by_halving(weights, target)
     coeff = [1] + [0] * target
     for w in weights:
         for d in range(w, target + 1):

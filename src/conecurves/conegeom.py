@@ -210,11 +210,6 @@ def e_intersection(cone: ConeSpace, t: TildeClass) -> int:
     return lift(cone, t.beta, t.relative_degree).e
 
 
-def pushforward_degree(cone: ConeSpace, t: TildeClass) -> int:
-    """Total degree of the image curve on the cone: base degree plus e, the section twist x."""
-    return lift(cone, t.beta, t.relative_degree).x
-
-
 def is_nonempty(cone: ConeSpace, t: TildeClass) -> bool:
     """Whether the space of maps P^1 -> resolution in this class is nonempty.
 

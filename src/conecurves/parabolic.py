@@ -10,9 +10,8 @@ roots gives the degree c_i of the anticanonical class on the dual curve
 class (the Fano index data of G/P); build_parabolic selects the
 nilradical on the root system's support masks.  The connected components
 of the marked subdiagram are the simple factors of the Picard lattice;
-each parabolic computes them and their comarks once, on first use, and
-splits them once more, on first use, into the inputs of
-affine.compare_ne_ir.
+each parabolic computes them and their comarks once, on first use, as
+the inputs of affine.compare_ne_ir.
 """
 
 from __future__ import annotations
@@ -40,27 +39,19 @@ class ParabolicData:
     dim_gp: int
 
     @cached_property
-    def factors(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """Components of the marked subdiagram, by smallest node, each with its comark vector.
+    def factor_split(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The marked subdiagram's components, by smallest node: node tuples, comark vectors, and those joined.
 
         Computed on first use from the components' highest roots and kept
-        with this parabolic; it is not a field, so equality, hashing and
-        repr ignore it.  An InternalError from the comark checks is
-        raised again on every use, never kept.
+        with this parabolic, so every comparison on it shares the same
+        three tuples; it is not a field, so equality, hashing and repr
+        ignore it.  An InternalError from the comark checks is raised
+        again on every use, never kept.
         """
         rs = self.rs
-        return tuple((nodes, subsystem_comarks(rs, theta)) for nodes, theta in highest_roots(rs, self.alpha_p))
-
-    @cached_property
-    def factor_split(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """factors as affine.compare_ne_ir reads them: the node tuples, the comark vectors, and those joined.
-
-        Computed on first use from factors and kept like it, so every
-        comparison on this parabolic shares the same three tuples; an
-        InternalError from factors is raised again on every use.
-        """
-        factors = self.factors
-        nodes, vecs = zip(*factors) if factors else ((), ())
+        factors = highest_roots(rs, self.alpha_p)
+        nodes = tuple([f for f, _ in factors])
+        vecs = tuple([subsystem_comarks(rs, theta) for _, theta in factors])
         return nodes, vecs, sum(vecs, ())
 
 

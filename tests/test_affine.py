@@ -1,8 +1,8 @@
-"""Affine level combinatorics and the effective-class comparison diagnostic."""
+"""Affine comarks and the effective-class comparison diagnostic."""
 
 import hashlib
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -20,7 +20,6 @@ from conecurves import (
     comarks,
     compare_ne_ir,
     cone_from_ell,
-    level_weights,
     minimal_ample,
 )
 
@@ -71,38 +70,6 @@ def test_comark_zero_node_is_one():
 @pytest.mark.parametrize("name", sorted(DUAL_COXETER))
 def test_comark_sums_are_dual_coxeter_numbers(name):
     assert sum(comarks(CartanType.parse(name)).comarks) == DUAL_COXETER[name]
-
-
-def test_level_weights_examples():
-    a1 = comarks(CartanType("A", 1))
-    assert level_weights(a1, 1) == [(1, 0), (0, 1)]
-    assert level_weights(a1, 0) == [(0, 0)]
-    a2 = comarks(CartanType("A", 2))
-    assert len(level_weights(a2, 1)) == 3
-
-
-def test_level_zero_is_vacuum_only():
-    for name in ("A2", "B3", "G2", "F4", "D4"):
-        a = comarks(CartanType.parse(name))
-        assert level_weights(a, 0) == [(0,) * (a.cartan_type.rank + 1)]
-
-
-def test_level_weights_rejects_negative_level():
-    with pytest.raises(InputError):
-        level_weights(comarks(CartanType("A", 1)), -1)
-
-
-def box_scan(weights, level):
-    boxes = [range(level // w + 1) for w in weights]
-    sols = [v for v in product(*boxes) if sum(a * b for a, b in zip(v, weights)) == level]
-    return sorted(sols, key=lambda v: (sum(v), tuple(-c for c in v)))
-
-
-@pytest.mark.parametrize("name", ("A1", "A2", "A4", "B2", "B4", "C3", "D4", "G2", "F4"))
-def test_level_weights_match_box_scan(name):
-    a = comarks(CartanType.parse(name))
-    for level in range(9):
-        assert level_weights(a, level) == box_scan(a.comarks, level)
 
 
 def test_compare_ne_ir_a1_degree_one_mismatch():
@@ -235,8 +202,8 @@ def test_compare_ne_ir_computes_the_factors_once_per_parabolic(monkeypatch):
     results = [compare_ne_ir(cone, d) for d in range(11)]
     assert len(calls) == 1
     assert {(c.factor_nodes, c.factor_comarks) for c in results} == {(((1,), (3, 4)), ((1, 1), (1, 1, 1)))}
-    # Each value filled on first use is kept: the root system's masks, the
-    # factors and their split, whose tuples every record shares.
+    # Each value filled on first use is kept: the root system's masks and
+    # the factor split, whose tuples every record shares.
     assert rs.support_masks is masks
     nodes, vecs, joined = p.factor_split
     assert joined == (1, 1, 1, 1, 1)
@@ -245,7 +212,7 @@ def test_compare_ne_ir_computes_the_factors_once_per_parabolic(monkeypatch):
     # still equal, hash and print like ones with nothing filled yet.
     fresh = build_parabolic(rs, (1, 3, 4))
     bare_rs = replace(rs)
-    assert {"factors", "factor_split"} <= vars(p).keys() and not {"factors", "factor_split"} & vars(fresh).keys()
+    assert "factor_split" in vars(p) and "factor_split" not in vars(fresh)
     assert "support_masks" in vars(rs) and "support_masks" not in vars(bare_rs)
     for filled, bare in ((p, fresh), (rs, bare_rs)):
         assert filled == bare
@@ -258,20 +225,19 @@ def test_replaced_parabolic_computes_its_factors_again(monkeypatch):
     calls = count_highest_roots_calls(monkeypatch)
     rs = build_root_system(CartanType("B", 2))
     p = build_parabolic(rs, (1, 2))
-    assert p.factors == (((1, 2), (1, 1, 1)),)
     assert p.factor_split == (((1, 2),), ((1, 1, 1),), (1, 1, 1))
     bad = replace(p, rs=replace(rs, symmetrizer=(1, 1)))
     with pytest.raises(InternalError, match="comark 1/2 at node 1"):
-        bad.factors
+        bad.factor_split
     assert len(calls) == 2
-    assert p.factors == (((1, 2), (1, 1, 1)),)
+    assert p.factor_split == (((1, 2),), ((1, 1, 1),), (1, 1, 1))
     assert len(calls) == 2
-    # The split is never kept past an error either: every use asks again.
+    # The split is never kept past an error: every use asks again.
     for tries in (3, 4):
         with pytest.raises(InternalError, match="comark 1/2 at node 1"):
             bad.factor_split
         assert len(calls) == tries
-    assert not {"factors", "factor_split"} & vars(bad).keys()
+    assert "factor_split" not in vars(bad)
     # A root system replaced with other roots computes its own masks.
     a2 = build_root_system(CartanType("A", 2))
     assert a2.support_masks == (0b01, 0b10, 0b11)

@@ -75,6 +75,9 @@ def test_ne_command(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["ne 2,0", "ne 1,1", "ne 0,2", "count 3"]
+    # The quadric has no class of odd degree: nothing listed, and the count agrees.
+    code, out, err = run(capsys, ["ne", *QUADRIC[:-1], "3"])
+    assert (code, out, err) == (0, "count 0\n", "")
 
 
 def test_classify_quadric_cone_json(capsys):
@@ -184,6 +187,38 @@ def test_classify_unknown_flag_exits_2(capsys):
     assert code == 2
     assert err.strip().startswith("input error:")
     assert "\n" not in err.strip()
+
+
+def missing_argument_cases():
+    cone = {"--type": "A1", "--parabolic": "1", "--lambda": "2", "--vertex-dim": "1", "--degree": "2"}
+    commands = {
+        "roots": ["--type"],
+        "gp": ["--type", "--parabolic"],
+        "ne": list(cone),
+        "affine-compare": ["--type", "--degree"],
+    }
+    yield pytest.param([], "command", id="command")
+    for command, options in commands.items():
+        for missing in options:
+            argv = [command] + [a for o in options if o != missing for a in (o, cone[o])]
+            yield pytest.param(argv, missing, id=f"{command}{missing}")
+
+
+@pytest.mark.parametrize("argv,missing", missing_argument_cases())
+def test_a_missing_required_argument_exits_2(capsys, argv, missing):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: the following arguments are required: {missing}\n"
+
+
+def test_a_request_at_the_class_limit_is_admitted(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_MAX_CLASSES", 3)
+    flag = ["ne", "--type", "A2", "--parabolic", "1,2", "--lambda", "1,1", "--vertex-dim", "1", "--degree"]
+    code, out, _ = run(capsys, [*flag, "2"])
+    assert code == 0 and out.endswith("count 3\n")
+    code, out, err = run(capsys, [*flag, "3"])
+    assert (code, out) == (2, "")
+    assert err == "input error: the request has 4 effective classes, more than the limit 3\n"
 
 
 def test_negative_degree_exits_2(capsys):

@@ -313,7 +313,7 @@ def test_package_resolves_its_names_on_first_access():
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\nTrue 45\nTrue\n[]\n"
+    assert proc.stdout == "[]\nTrue 43\nTrue\n[]\n"
     import conecurves
 
     assert conecurves.__all__ == sorted(conecurves.__all__)

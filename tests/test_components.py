@@ -21,6 +21,7 @@ from conecurves import (
     build_parabolic,
     build_root_system,
     classify,
+    compare_ne_ir,
     cone_from_ell,
     count_components,
     dim_mor_tilde,
@@ -58,6 +59,11 @@ def test_ne_rejects_negative_degree():
     quad = make_cone("A1", (1,), (2,), 1)
     with pytest.raises(InputError):
         ne(quad, -1)
+    # The counts refuse it too; the plane is a minimal ample cone, as compare_ne_ir needs.
+    plane = make_cone("A1", (1,), (1,), 1)
+    for count in (count_components, compare_ne_ir):
+        with pytest.raises(InputError, match=r"^degree must be >= 0, got -1$"):
+            count(plane, -1)
 
 
 def test_ne_matches_box_scan_oracle():

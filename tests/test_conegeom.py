@@ -4,9 +4,11 @@ from itertools import combinations, product
 
 import pytest
 
+from conecurves import conegeom
 from conecurves import (
     CartanType,
     InputError,
+    InternalError,
     Lift,
     TildeClass,
     base_degree,
@@ -22,7 +24,6 @@ from conecurves import (
     is_nonempty,
     lemma_equiv_check,
     lift,
-    pushforward_degree,
 )
 
 
@@ -182,6 +183,19 @@ def test_dim_mor_rejects_empty_class():
         dim_mor_tilde(quad, TildeClass((1,), 0))
 
 
+def test_dim_mor_raises_when_the_dimension_routes_disagree(monkeypatch):
+    real = conegeom.lift
+
+    def corrupted(cone, beta, d):
+        lf = real(cone, beta, d)
+        return lf._replace(dim_base_fiber=lf.dim_base_fiber + 1)
+
+    monkeypatch.setattr(conegeom, "lift", corrupted)
+    with pytest.raises(InternalError) as caught:
+        dim_mor_tilde(make_cone("A1", (1,), (2,), 1), TildeClass((1,), 2))
+    assert str(caught.value) == "dimension routes disagree: 6 != 7 for TildeClass(beta=(1,), relative_degree=2)"
+
+
 def rank3_parabolics():
     for name in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"):
         rs = build_root_system(CartanType.parse(name))
@@ -209,7 +223,7 @@ def test_dimension_routes_and_sign_equivalences_sweep():
                         # Three-way sign equivalence.
                         assert (e >= 0) == (d >= n * l) == (x >= l)
                         # Pushforward degree two ways: l + e and the section twist.
-                        assert pushforward_degree(cone, t) == l + e == x
+                        assert lift(cone, beta, d).x == l + e == x
                         if not is_nonempty(cone, t):
                             continue
                         checked += 1
