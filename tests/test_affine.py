@@ -2,11 +2,12 @@
 
 import hashlib
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from conecurves import parabolic
+from conecurves.components import graded_solutions
 from conecurves import (
     AffineComparison,
     CartanType,
@@ -70,6 +71,21 @@ def test_comark_zero_node_is_one():
 @pytest.mark.parametrize("name", sorted(DUAL_COXETER))
 def test_comark_sums_are_dual_coxeter_numbers(name):
     assert sum(comarks(CartanType.parse(name)).comarks) == DUAL_COXETER[name]
+
+
+def box_scan(weights, level):
+    boxes = [range(level // w + 1) for w in weights]
+    sols = [v for v in product(*boxes) if sum(a * b for a, b in zip(v, weights)) == level]
+    return sorted(sols, key=lambda v: (sum(v), tuple(-c for c in v)))
+
+
+@pytest.mark.parametrize("name", ("A1", "A2", "A4", "B2", "B4", "C3", "D4", "G2", "F4"))
+def test_level_weights_match_box_scan(name):
+    # The level-exactly-L dominant weights are the graded solutions of the
+    # comark vector at target L.
+    a = comarks(CartanType.parse(name))
+    for level in range(9):
+        assert list(graded_solutions(a.comarks, level)) == box_scan(a.comarks, level)
 
 
 def test_compare_ne_ir_a1_degree_one_mismatch():

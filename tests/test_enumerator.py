@@ -66,15 +66,6 @@ def test_all_small_weight_vectors_match_sorted_box_scan():
         (1, 3, 1, 3, 1, 3, 1),
         (4, 1, 1, 2, 7, 2, 3, 1),
         E8_COMARKS,
-        # The comark vectors of these types, affine node first.  A4's is the
-        # first vector above, and B2's is A2's.
-        pytest.param((1, 1), id="A1"),
-        pytest.param((1, 1, 1), id="A2"),
-        pytest.param((1, 1, 2, 2, 1), id="B4"),
-        pytest.param((1, 1, 1, 1), id="C3"),
-        pytest.param((1, 1, 2, 1, 1), id="D4"),
-        pytest.param((1, 1, 2), id="G2"),
-        pytest.param((1, 2, 3, 2, 1), id="F4"),
     ],
 )
 def test_mixed_weights_match_sorted_box_scan(weights):
