@@ -176,9 +176,12 @@ def _write_rows(head: str, rows: Iterator[str], sep: str = "") -> int:
 
 
 def _json_list(items: list[str], indent: str) -> str:
-    """Printed items as a JSON list in the json.dumps(indent=2) layout, items at `indent`."""
-    if not items:
-        return "[]"
+    """Printed items as a JSON list in the json.dumps(indent=2) layout, items at `indent`.
+
+    `items` must be nonempty: the marked nodes, lambda, ell and a class's
+    coefficients always are.  An empty components list is closed by
+    cmd_classify, not here.
+    """
     return "[\n" + ",\n".join(indent + item for item in items) + "\n" + indent[2:] + "]"
 
 
@@ -377,7 +380,7 @@ def _run(argv) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        return exc.code
     try:
         return args.func(args)
     except InputError as exc:

@@ -184,20 +184,24 @@ def ne(cone: ConeSpace, degree: int) -> list[EffectiveClass]:
 def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:
     """Nonnegative integer vectors v with <v, weights> = target, in grade_key order.
 
-    The weights must be positive.  For each coordinate sum s, ascending,
-    the vectors of that sum are emitted in decreasing lexicographic
-    order: each coordinate runs downward over exactly the values that
-    leave a remaining degree t' reachable by the remaining sum s' on the
-    suffix, s'*min(suffix) <= t' <= s'*max(suffix).  The last two
-    coordinates are solved from the two linear equations directly.
+    The weights must be positive and nonempty and the target
+    nonnegative; callers validate both, and nothing here checks them.
+    For each coordinate sum s, ascending, the vectors of that sum are
+    emitted in decreasing lexicographic order: each coordinate runs
+    downward over exactly the values that leave a remaining degree t'
+    reachable by the remaining sum s' on the suffix, s'*min(suffix) <=
+    t' <= s'*max(suffix).  That range invariant holds in every frame and
+    decides the leaves without a filter.  On the last coordinate min =
+    max = its weight, so t' = weight * s' and the vector is (.., s').  On
+    a last pair of equal weights a the same holds with a, and every
+    split of s' is a vector.  On a last pair (a, b) with a != b, v = (t'
+    - b*s') / (a - b) solves the two linear equations, and the invariant
+    already puts it in [0, s'] whenever the division is exact, so
+    divisibility alone decides.  A coordinate's upper limit is s', not
+    also t' // a: every value the range bounds admit leaves t' - a*v >=
+    min(suffix) * (s' - v) >= 0.
     """
     k = len(weights)
-    if target < 0:
-        return
-    if k == 0:
-        if target == 0:
-            yield ()
-        return
     w = weights
     lo_w = [min(w[i:]) for i in range(k)]
     hi_w = [max(w[i:]) for i in range(k)]
@@ -205,24 +209,22 @@ def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[in
     def fill(prefix: tuple[int, ...], i: int, s: int, t: int) -> Iterator[tuple[int, ...]]:
         # Invariant: s * lo_w[i] <= t <= s * hi_w[i].
         if i == k - 1:
-            if w[i] * s == t:
-                yield prefix + (s,)
+            yield prefix + (s,)
             return
         a = w[i]
         if i == k - 2:
             b = w[i + 1]
             if a == b:
-                if a * s == t:
-                    for v in range(s, -1, -1):
-                        yield prefix + (v, s - v)
+                for v in range(s, -1, -1):
+                    yield prefix + (v, s - v)
                 return
             v, r = divmod(t - b * s, a - b)
-            if not r and 0 <= v <= s:
+            if not r:
                 yield prefix + (v, s - v)
             return
         # Bounds on v from lo*(s - v) <= t - a*v <= hi*(s - v).
         lo, hi = lo_w[i + 1], hi_w[i + 1]
-        top = min(s, t // a)
+        top = s
         bottom = 0
         if a > lo:
             top = min(top, (t - s * lo) // (a - lo))

@@ -249,6 +249,10 @@ def rho(rs: RootSystem) -> Weight:
 def highest_roots(rs: RootSystem, nodes: tuple[int, ...]) -> list[tuple[tuple[int, ...], Root]]:
     """Components of the subdiagram on `nodes`, by smallest node, each with its highest root.
 
+    `nodes` is any subset of 1..rank.  Callers pass validated nodes
+    (build_parabolic's marked nodes, or all of them), and a node outside
+    that range is not checked for.
+
     One downward pass over the positive roots, on their support masks.
     A highest root dominates every root of its component and is
     supported on all of it, so a root whose support meets no component
@@ -259,7 +263,7 @@ def highest_roots(rs: RootSystem, nodes: tuple[int, ...]) -> list[tuple[tuple[in
     componentwise max of them is compared with it once per component,
     and InternalError "not dominated" names the first root that is not.
     """
-    outside = ~sum({1 << i - 1 for i in nodes if 1 <= i <= rs.rank})
+    outside = ~sum({1 << i - 1 for i in nodes})
     # One (support mask, highest root, its roots) per component, in the order found.
     found: list[tuple[int, Root, list[Root]]] = []
     for g, m in zip(reversed(rs.positive_roots), reversed(rs.support_masks)):

@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from conecurves import cli, components, conegeom, parabolic, rootsys
+from conecurves import cli, components, conegeom, parabolic, rootsys, selfcheck
 from conecurves.cli import main, report_to_dict
 from conecurves import CartanType, build_cone, build_parabolic, build_root_system, classify
 from conecurves.parabolic import parse_alpha_p, parse_lambda
@@ -380,6 +380,31 @@ def test_selfcheck_fault_matrix(mutate, monkeypatch, capsys):
     mutate(monkeypatch)
     names = ("root-counts", "lines-dichotomy", "dimension-cross-check", "ne-enumeration", "classical-oracles")
     assert _selfcheck_counts(capsys) == dict(zip(names, FAULT_COUNTS[mutate]))
+
+
+def test_a_suite_that_raises_is_reported_aborted_and_the_others_run(monkeypatch, capsys):
+    # An exception other than InputError or InternalError ends its suite: the suite
+    # keeps the checks it counted (none here) and one "aborted:" failure.
+    def crash(*args):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setattr(selfcheck, "_toric_dimension", crash)
+    results = selfcheck.run_all()
+    assert {r.name: (r.checks, r.failures) for r in results} == {
+        "root-counts": (99, []),
+        "lines-dichotomy": (1192, []),
+        "dimension-cross-check": (0, ["aborted: ZeroDivisionError('injected')"]),
+        "ne-enumeration": (2772, []),
+        "classical-oracles": (29, []),
+    }
+    code, out, _ = run(capsys, ["selfcheck"])
+    assert code == 3
+    assert "dimension-cross-check: 0 checks, 1 failures\n  FAIL aborted: ZeroDivisionError('injected')\n" in out
+    assert out.endswith("selfcheck FAIL\n")
+    code, out, _ = run(capsys, ["selfcheck", "--json"])
+    assert code == 3
+    failed = {s["name"]: s["failed"] for s in json.loads(out)["suites"]}
+    assert failed == {name: int(name == "dimension-cross-check") for name in failed}
 
 
 def test_selfcheck_json_reports_what_the_text_form_prints(monkeypatch, capsys):

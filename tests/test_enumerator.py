@@ -8,12 +8,26 @@ from math import comb
 
 import pytest
 
-from conecurves import CartanType, build_cone, build_parabolic, build_root_system, compare_ne_ir, minimal_ample, ne
+from conecurves import (
+    CartanType,
+    build_cone,
+    build_parabolic,
+    build_root_system,
+    comarks,
+    compare_ne_ir,
+    minimal_ample,
+    ne,
+)
 from conecurves import components
 from conecurves.components import _count_by_halving, count_solutions, graded_solutions
 
 E8_COMARKS = (1, 2, 3, 4, 6, 5, 4, 3, 2)
-F4_COMARKS = (1, 2, 3, 4, 2)
+F4_COMARKS = (1, 2, 3, 2, 1)
+
+
+@pytest.mark.parametrize("name, vector", [("E8", E8_COMARKS), ("F4", F4_COMARKS)])
+def test_the_comark_constants_are_the_comarks_of_their_type(name, vector):
+    assert vector == comarks(CartanType.parse(name)).comarks
 
 
 def sorted_box_scan(weights, target):

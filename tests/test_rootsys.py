@@ -439,6 +439,12 @@ def test_weyl_dim_rejects_non_dominant():
         weyl_dim(rs, (1, -1))
 
 
+def test_weyl_dim_rejects_a_weight_of_the_wrong_length():
+    rs = build_root_system(CartanType("A", 2))
+    with pytest.raises(InputError, match=r"^weight has 1 coordinates, expected 2$"):
+        weyl_dim(rs, (1,))
+
+
 def test_cartan_type_parse():
     assert CartanType.parse("a3") == CartanType("A", 3)
     assert CartanType.parse(" E6 ") == CartanType("E", 6)
