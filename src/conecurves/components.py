@@ -197,9 +197,9 @@ def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[in
     split of s' is a vector.  On a last pair (a, b) with a != b, v = (t'
     - b*s') / (a - b) solves the two linear equations, and the invariant
     already puts it in [0, s'] whenever the division is exact, so
-    divisibility alone decides.  A coordinate's upper limit is s', not
-    also t' // a: every value the range bounds admit leaves t' - a*v >=
-    min(suffix) * (s' - v) >= 0.
+    divisibility alone decides.  A coordinate's range starts from [0,
+    s']: every value the range bounds then admit leaves t' - a*v >=
+    min(suffix) * (s' - v) >= 0, so a*v <= t' needs no bound of its own.
     """
     k = len(weights)
     w = weights

@@ -426,3 +426,22 @@ def test_iter_rows_lift_checks_can_fail(monkeypatch, corrupt, message):
     monkeypatch.setattr(components, "lift", lambda cone, beta, d: corrupt(real(cone, beta, d)))
     with pytest.raises(InternalError, match=message):
         tuple(iter_rows(make_cone("A1", (1,), (2,), 1), 2))
+
+
+def test_classify_and_iter_rows_lift_once_per_stratum_on_its_first_class(monkeypatch):
+    # One lift's checks hold for every class of its stratum, so a second lift in a stratum is waste.
+    calls = []
+    real = components.lift
+    monkeypatch.setattr(components, "lift", lambda cone, beta, d: calls.append((beta, d)) or real(cone, beta, d))
+    # No lines: strata d' = 6..0, of which d' = 1 is empty; lines: one stratum.
+    for cone, degree, strata in ((make_cone("A2", (1, 2), (2, 3), 1), 6, 6), (make_cone("A2", (1, 2), (1, 2), 2), 5, 1)):
+        calls.clear()
+        report = classify(cone, degree)
+        first = {}
+        for c in report.components:
+            first.setdefault(c.alpha_prime, (c.beta.coeffs, c.tilde.relative_degree))
+        assert calls == list(first.values())
+        assert len(calls) == strata < len(report.components)
+        calls.clear()
+        assert len(list(iter_rows(cone, degree))) == len(report.components)
+        assert calls == list(first.values())

@@ -191,7 +191,8 @@ def _a2_with(extra):
 
 def test_highest_roots_rejects_an_undominated_root():
     rs = _a2_with((2, 0))
-    with pytest.raises(InternalError, match="not dominated"):
+    # The message names the root that is not dominated, not the first root of the component.
+    with pytest.raises(InternalError, match=r"^root \(2, 0\) is not dominated by the highest root \(1, 1\) of its"):
         highest_roots(rs, (1, 2))
     with pytest.raises(InternalError, match="not dominated"):
         highest_root(rs)
