@@ -14,21 +14,23 @@ degree above _MAX_DEGREE while parsing, and ne and classify refuse, from
 the count alone and before enumerating, a request for more than
 _MAX_CLASSES classes or components (exit code 2).
 
-ne and classify stream their output from one checked stream: ne takes
-each class from components.checked_solutions, the enumerator with
-every vector checked to be nonnegative and of the requested degree, and
-classify takes each component as a plain row from components.iter_rows,
-which walks every stratum through the same checked stream.  Either stream passes through _counted, which refuses
-the request from the count alone before the first row is taken and,
-once the rows end, compares their number (before the
---exclude-vertex-stratum filter) with the count from the generating
-function; a mismatch exits 3 before the document is closed.  Rows are
-laid out by hand and written _WRITE_BATCH at a time while the
-enumeration runs, so neither command builds a record, a class list or a
-component list, memory stays flat as the degree grows, and the writes
-stay few when stdout is unbuffered (python -u, PYTHONUNBUFFERED=1).
-Writing starts before the last row and the last stratum's lift are
-checked, so on exit code 3 stdout may hold a truncated document.
+ne and classify write through one batch writer, _write_rows, straight
+from one checked stream: ne from components.checked_solutions, the
+enumerator with every vector checked to be nonnegative and of the
+requested degree, and classify from components.iter_rows, which walks
+every stratum through the same checked stream and yields each component
+as the flat row its template prints.  The writer refuses the request
+from the count alone before it takes a row, takes _WRITE_BATCH rows at
+a time, lays each batch out by hand with one %-template per row and
+writes it in one stdout write while the enumeration runs, so neither
+command builds a record, a class list or a component list, memory stays
+flat as the degree grows, and the writes stay few when stdout is
+unbuffered (python -u, PYTHONUNBUFFERED=1).  When the rows end it
+compares their number (before the --exclude-vertex-stratum filter) with
+the count from the generating function; a mismatch exits 3 before the
+last batch or the footer is written.  Writing starts before the last
+row and the last stratum's lift are checked, so on exit code 3 stdout
+may hold a truncated document.
 
 Each command imports the modules it uses when it runs, so roots loads
 none of parabolic, components, conegeom and affine, gp loads none of the
@@ -41,6 +43,8 @@ import argparse
 import os
 import sys
 from collections.abc import Iterator
+from itertools import islice
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import InputError, InternalError
@@ -82,22 +86,6 @@ def _degree(text: str) -> int:
     if degree > _MAX_DEGREE:
         raise argparse.ArgumentTypeError(f"degree {degree} exceeds the limit {_MAX_DEGREE}")
     return degree
-
-
-def _counted(rows: Iterator, total: int, what: str) -> Iterator:
-    """The rows, refused before the first is taken when total is over _MAX_CLASSES.
-
-    total is the generating-function count of the rows; when they end,
-    their number is compared with it, and a mismatch raises InternalError
-    before the caller writes anything more.
-    """
-    if total > _MAX_CLASSES:
-        raise InputError(f"the request has {total} {what}, more than the limit {_MAX_CLASSES}")
-    enumerated = 0
-    for enumerated, row in enumerate(rows, 1):
-        yield row
-    if enumerated != total:
-        raise InternalError(f"enumerated {enumerated} {what}, but the generating function counts {total}")
 
 
 def _fmt(vec) -> str:
@@ -158,21 +146,46 @@ def report_to_dict(report: ComponentReport) -> dict:
     }
 
 
-def _write_rows(head: str, rows: Iterator[str], sep: str = "") -> int:
-    """Write head, then the rows joined by sep, one stdout write per _WRITE_BATCH rows.
+def _write_rows(
+    rows: Iterator[tuple], total: int, what: str, row: str, head: str = "", sep: str = "", exclude: bool = False
+) -> tuple[int, set[int]]:
+    """Write head, then the rows laid out by the template row and joined by sep, _WRITE_BATCH rows to a write.
 
-    rows must be an iterator, since each batch takes the next rows from
-    it.  head goes out with the first batch, or alone when there are no
-    rows.  Returns the number of rows.
+    total is the generating-function count of the rows; over
+    _MAX_CLASSES it is refused with InputError before a row is taken.
+    With exclude, a batch whose last row has alpha_prime (its fifth
+    field from the end) 0 loses that row: of iter_rows' rows only the
+    vertex row beta = 0 has it, and the stream ends with it.  Every row
+    of the stream is counted, the vertex row and anything after it
+    included, and when the rows end (a batch is short, or lost the
+    vertex row) their number is compared with total; a mismatch raises
+    InternalError before that last batch is written.  So when the count,
+    a row's check or a lift's check fails (exit code 3), stdout holds
+    head and full batches only, and no footer: nothing when the failure
+    comes within the first batch.  head goes out with the first batch,
+    alone when no row is written.  Returns the number of rows written
+    and the set of their last fields, which are classify's dimensions.
     """
-    count = 0
-    while batch := [row for _, row in zip(range(_WRITE_BATCH), rows)]:
-        sys.stdout.write(head + sep.join(batch))
-        head = sep
-        count += len(batch)
-    if not count:
-        sys.stdout.write(head)
-    return count
+    if total > _MAX_CLASSES:
+        raise InputError(f"the request has {total} {what}, more than the limit {_MAX_CLASSES}")
+    taken = written = 0
+    last: set[int] = set()
+    while True:
+        batch = list(islice(rows, _WRITE_BATCH))
+        taken += len(batch)
+        if exclude and batch and not batch[-1][-5]:
+            del batch[-1]
+            taken += len(list(rows))  # nothing may follow the vertex row, but whatever does is counted
+        final = len(batch) < _WRITE_BATCH
+        if final and taken != total:
+            raise InternalError(f"enumerated {taken} {what}, but the generating function counts {total}")
+        if batch or not written:
+            sys.stdout.write(head + sep.join(map(row.__mod__, batch)))
+            head = sep
+        written += len(batch)
+        last.update(map(itemgetter(-1), batch))
+        if final:
+            return written, last
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -237,9 +250,8 @@ def cmd_ne(args: argparse.Namespace) -> int:
 
     cone = _make_cone(args)
     total = count_solutions(cone.ell, args.degree)
-    classes = _counted(checked_solutions(cone.ell, args.degree), total, "effective classes")
     row = "ne " + ",".join(["%d"] * len(cone.ell)) + "\n"
-    count = _write_rows("", map(row.__mod__, classes))
+    count, _ = _write_rows(checked_solutions(cone.ell, args.degree), total, "effective classes", row)
     sys.stdout.write(f"count {count}\n")
     return 0
 
@@ -249,39 +261,29 @@ def cmd_classify(args: argparse.Namespace) -> int:
     from .conegeom import has_lines
 
     cone = _make_cone(args)
-    rows = _counted(iter_rows(cone, args.degree), count_components(cone, args.degree), "components")
-    exclude = args.exclude_vertex_stratum
-    dims: set[int] = set()
-
-    def fields() -> Iterator[tuple[int, ...]]:
-        for beta, alpha_prime, m, rel, dim in rows:
-            if exclude and not any(beta):
-                continue
-            dims.add(dim)
-            yield (*beta, alpha_prime, m, rel, m, dim)  # iter_rows checked e equal to m
-
     beta_slots = ["%d"] * len(cone.ell)
     if args.format == "tsv":
-        head = "beta\talpha_prime\tvertex_multiplicity\trelative_degree\te\tdimension\n"
+        head, sep = "beta\talpha_prime\tvertex_multiplicity\trelative_degree\te\tdimension\n", ""
         row = ",".join(beta_slots) + "\t%d\t%d\t%d\t%d\t%d\n"
-        _write_rows(head, map(row.__mod__, fields()))
-        return 0
-    row = (
-        "\n    {\n"
-        f'      "beta": {_json_list(beta_slots, " " * 8)},\n'
-        '      "alpha_prime": %d,\n'
-        '      "vertex_multiplicity": %d,\n'
-        '      "relative_degree": %d,\n'
-        '      "e": %d,\n'
-        '      "dimension": %d\n'
-        "    }"
-    )
-    head = _json_head(cone, args.degree, "lines" if has_lines(cone) else "no_lines")
-    count = _write_rows(head, map(row.__mod__, fields()), ",")
-    sys.stdout.write(
-        ("\n  ]" if count else "]")
-        + f',\n  "count": {count},\n  "equidimensional": {"true" if len(dims) <= 1 else "false"}\n}}\n'
-    )
+    else:
+        head, sep = _json_head(cone, args.degree, "lines" if has_lines(cone) else "no_lines"), ","
+        row = (
+            "\n    {\n"
+            f'      "beta": {_json_list(beta_slots, " " * 8)},\n'
+            '      "alpha_prime": %d,\n'
+            '      "vertex_multiplicity": %d,\n'
+            '      "relative_degree": %d,\n'
+            '      "e": %d,\n'
+            '      "dimension": %d\n'
+            "    }"
+        )
+    rows, total = iter_rows(cone, args.degree), count_components(cone, args.degree)
+    count, dims = _write_rows(rows, total, "components", row, head, sep, args.exclude_vertex_stratum)
+    if args.format == "json":
+        sys.stdout.write(
+            ("\n  ]" if count else "]")
+            + f',\n  "count": {count},\n  "equidimensional": {"true" if len(dims) <= 1 else "false"}\n}}\n'
+        )
     return 0
 
 

@@ -25,15 +25,18 @@ for is that a class lies in its stratum, so each one is checked to have
 <beta, ell> = d' (and, on rows, nonnegative coordinates); a failure
 raises InternalError.
 
-Writers take plain rows from iter_rows, which walks each stratum through
-checked_solutions and builds no record, so their memory does not grow
-with the number of components.  checked_solutions is graded_solutions
-with each vector checked to be nonnegative and of its stratum's degree;
-`conecurves ne` prints it too, so every row the command line prints has
-passed that check.  The library API takes records: classify lists each
-stratum by ne and builds a ComponentDescriptor per component.  Both
-take the strata and the per-stratum lift check from one place, so they
-list the same components in the same order under the same checks.
+The command line prints the flat rows of iter_rows, (*beta,
+alpha_prime, vertex_multiplicity, relative_degree, e, dimension) with e
+the stratum lift's exceptional intersection, as they come: iter_rows
+walks each stratum through checked_solutions and builds no record, so
+the writer's memory does not grow with the number of components.
+checked_solutions is graded_solutions with each vector checked to be
+nonnegative and of its stratum's degree; `conecurves ne` prints it too,
+so every row the command line prints has passed that check.  The
+library API takes records: classify lists each stratum by ne and builds
+a ComponentDescriptor per component.  Both take the strata and the
+per-stratum lift check from one place, so they list the same components
+in the same order under the same checks.
 
 The records (EffectiveClass, ComponentDescriptor, and TildeClass from
 conegeom) are frozen, slotted dataclasses with hand-written
@@ -200,6 +203,10 @@ def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[in
     divisibility alone decides.  A coordinate's range starts from [0,
     s']: every value the range bounds then admit leaves t' - a*v >=
     min(suffix) * (s' - v) >= 0, so a*v <= t' needs no bound of its own.
+    Where a > min(suffix), the bound (t' - s'*min) / (a - min) replaces
+    s' outright: for a >= max(suffix) the invariant puts it at or below
+    s', and for a < max(suffix) a bound above s' means t' > a*s', which
+    puts the bound (s'*max - t') / (max - a) below s'.
     """
     k = len(weights)
     w = weights
@@ -227,7 +234,7 @@ def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[in
         top = s
         bottom = 0
         if a > lo:
-            top = min(top, (t - s * lo) // (a - lo))
+            top = (t - s * lo) // (a - lo)
         elif a < lo:
             bottom = max(0, -((t - s * lo) // (lo - a)))
         if a < hi:
@@ -368,16 +375,22 @@ def checked_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[i
         yield v
 
 
-def iter_rows(cone: ConeSpace, degree: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
-    """The components as plain rows (beta, alpha_prime, multiplicity, relative degree, dimension).
+def iter_rows(cone: ConeSpace, degree: int) -> Iterator[tuple[int, ...]]:
+    """The components as the flat rows the command line prints.
 
+    Each row is (*beta, alpha_prime, vertex_multiplicity,
+    relative_degree, e, dimension), the fields of a classify JSON
+    component in order, and e is the exceptional intersection of the
+    stratum's lift, which _stratum_base checks equal to the multiplicity.
     The same components, in the same order and with the same checks, as
     classify, but each stratum is walked through checked_solutions and no
     record is built, so memory stays flat however many components there
     are.  Every row thus has nonnegative coordinates and <beta, ell> =
     alpha_prime; each non-empty stratum's first row is then lifted and
     checked, and a row's dimension is the stratum's base plus <beta,
-    chern>.  The command-line writers format these rows.
+    chern>.  The vertex row beta = 0, the one class of the stratum d' =
+    0, is the last row where there is one, and no other row has
+    alpha_prime 0.
     """
     ell, chern = cone.ell, cone.parabolic.chern_degrees
     top = (cone.vertex_dim + 1) * degree + cone.dim_x
@@ -386,7 +399,7 @@ def iter_rows(cone: ConeSpace, degree: int) -> Iterator[tuple[tuple[int, ...], i
         for beta in checked_solutions(ell, alpha_prime):
             if base is None:
                 base = _stratum_base(cone, beta, mult, rel, top)
-            yield beta, alpha_prime, mult, rel, base + sum(map(mul, beta, chern))
+            yield beta + (alpha_prime, mult, rel, mult, base + sum(map(mul, beta, chern)))
 
 
 def classify(cone: ConeSpace, degree: int) -> ComponentReport:

@@ -167,10 +167,11 @@ def _suite_dimension_cross_check(res: SuiteResult) -> None:
         yield got != (want is not None, want, want) and f"lift {lf}, toric count {want}"
 
     def component_checks(cone, m, degree):
+        # One marked node: a row is (a, alpha_prime, multiplicity, relative degree, e, dimension).
         rows = list(components.iter_rows(cone, degree))
         for row in rows:
-            beta, _, mult, _, dim = row
-            want = _toric_dimension(m, cone.ell[0], cone.vertex_dim, beta[0], mult)
+            a, _, mult, _, _, dim = row
+            want = _toric_dimension(m, cone.ell[0], cone.vertex_dim, a, mult)
             yield dim != want and f"row {row}, toric count {want}"
         count = components.count_components(cone, degree)
         yield len(rows) != count and f"iter_rows lists {len(rows)}, count_components says {count}"
@@ -179,7 +180,7 @@ def _suite_dimension_cross_check(res: SuiteResult) -> None:
             (c.beta.coeffs, c.alpha_prime, c.vertex_multiplicity, c.tilde.beta, c.tilde.relative_degree, c.dimension)
             for c in components.classify(cone, degree).components
         ]
-        from_rows = [(beta, ap, mult, beta, rel, dim) for beta, ap, mult, rel, dim in rows]
+        from_rows = [((a,), ap, mult, (a,), rel, dim) for a, ap, mult, rel, _, dim in rows]
         yield listed != from_rows and f"classify lists {listed}, iter_rows lists {from_rows}"
 
     for m in range(1, 5):

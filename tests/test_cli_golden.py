@@ -4,7 +4,9 @@ Each hash is the sha256 of the command's stdout as recorded before the
 classify hot path was rebuilt around conegeom.lift and the graded
 enumerator; a changed hash means the printed output changed.  The
 STREAMED hashes were recorded before classify, ne and TSV output were
-streamed through hand-laid, batched writers.  The E8 `roots` and `gp`
+streamed through hand-laid, batched writers, except the last two, which
+were recorded before ne and classify shared one batch writer and
+iter_rows yielded the printed row.  The E8 `roots` and `gp`
 hashes were recorded while the positive roots were ordered by one sort
 keyed on grade_key.
 """
@@ -81,6 +83,18 @@ STREAMED = [
         "ne E8 flag d=10",
         ["ne", *E8_FLAG, "--vertex-dim", "1", "--degree", "10"],
         "a1baab0e470029a730cfe72ca04951a99bd0a334a57b237f7ce58940d3edc9e0",
+    ),
+    (
+        "classify tsv exclude-vertex E8 ell=2 n=2 d=12",
+        ["classify", "--format", "tsv", "--exclude-vertex-stratum", "--type", "E8", "--parabolic",
+         "1,2,3,4,5,6,7,8", "--lambda", "2,2,2,2,2,2,2,2", "--vertex-dim", "2", "--degree", "12"],
+        "59f0cb788280df516040b125348e6b23b7bc44989d61d017d05f694c59d27a7d",
+    ),
+    (
+        "classify json not equidimensional",
+        ["classify", "--type", "A3", "--parabolic", "1,2", "--lambda", "1,2,0", "--vertex-dim", "2",
+         "--degree", "4"],
+        "29cd7ccc6d7fe91a5e8052d671185321068050c269175cdaf883ba117365eca6",
     ),
 ]
 

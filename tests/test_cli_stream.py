@@ -8,10 +8,11 @@ import json
 import subprocess
 import sys
 import types
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
+from conecurves import cli
 from conecurves import (
     CartanType,
     EffectiveClass,
@@ -170,6 +171,48 @@ def test_dropped_row_exits_3(monkeypatch, capsys, argv, what):
     out, err = capsys.readouterr()
     assert err == f"internal error: enumerated {what}\n"
     assert "count" not in out
+
+
+# A2 full flag, ell = (1, 1), degree 2: lines, one stratum of 3 rows, no vertex row.
+A2_LINES_ARGV = ["--type", "A2", "--parabolic", "1,2", "--lambda", "1,1", "--vertex-dim", "1", "--degree", "2"]
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+def test_output_does_not_depend_on_the_batch_size(monkeypatch, size):
+    # Sizes 1, 2, 3 and 6 end the six A2_ARGV rows on a full batch, and 5 leaves the
+    # vertex row alone in the last batch; 1 and 3 end the three lines rows on a full batch.
+    runs = [
+        ["classify", *A2_ARGV],
+        ["classify", "--exclude-vertex-stratum", *A2_ARGV],
+        ["classify", "--format", "tsv", "--exclude-vertex-stratum", *A2_ARGV],
+        ["classify", "--exclude-vertex-stratum", *A2_LINES_ARGV],
+        ["classify", "--exclude-vertex-stratum", *A2_ARGV[:-1], "0"],
+        ["ne", *A2_ARGV],
+    ]
+    want = [stdout_of(argv) for argv in runs]
+    monkeypatch.setattr(cli, "_WRITE_BATCH", size)
+    assert [stdout_of(argv) for argv in runs] == want
+
+
+@pytest.mark.parametrize(
+    "fault,taken,before_vertex",
+    [
+        (lambda real: lambda w, t: (v for v in real(w, t) if v != (1, 1)), 5, 4),
+        (lambda real: lambda w, t: chain(real(w, t), [(0,) * len(w)] if t == 0 else []), 7, 5),
+    ],
+    ids=["dropped-row", "vertex-row-twice"],
+)
+@pytest.mark.parametrize("size", range(1, 8))
+def test_a_count_mismatch_leaves_full_batches_only(monkeypatch, capsys, fault, taken, before_vertex, size):
+    # The batches before the one that ends the stream go out, and that one does not,
+    # whether or not it loses the vertex row; a row after the vertex row is counted too.
+    monkeypatch.setattr(components, "graded_solutions", fault(components.graded_solutions))
+    monkeypatch.setattr(cli, "_WRITE_BATCH", size)
+    for flags, rows in (([], size * (taken // size)), (["--exclude-vertex-stratum"], size * (before_vertex // size))):
+        assert main(["classify", *flags, *A2_ARGV]) == 3
+        out, err = capsys.readouterr()
+        assert err == f"internal error: enumerated {taken} components, but the generating function counts 6\n"
+        assert out.count('"beta"') == rows and "count" not in out
 
 
 @pytest.mark.parametrize(

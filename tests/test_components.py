@@ -25,6 +25,7 @@ from conecurves import (
     cone_from_ell,
     count_components,
     dim_mor_tilde,
+    e_intersection,
     has_lines,
     is_equidimensional,
     ne,
@@ -364,8 +365,10 @@ def test_dimension_formula_constancy_matches_equidimensionality():
             assert rep.equidimensional == (len(spreads) <= 1)
 
 
-def row_of(c):
-    return (c.beta.coeffs, c.alpha_prime, c.vertex_multiplicity, c.tilde.relative_degree, c.dimension)
+def row_of(cone, c):
+    """The flat row iter_rows prints for a record, with e from the record's own lift."""
+    e = e_intersection(cone, c.tilde)
+    return (*c.beta.coeffs, c.alpha_prime, c.vertex_multiplicity, c.tilde.relative_degree, e, c.dimension)
 
 
 @pytest.mark.parametrize("type_name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"])
@@ -382,8 +385,8 @@ def test_iter_rows_are_classify_without_records(type_name):
                     cone = build_cone(p, lam, n)
                     for degree in range(7):
                         rows = tuple(iter_rows(cone, degree))
-                        assert rows == tuple(map(row_of, classify(cone, degree).components))
-                        assert all(type(r[0]) is tuple for r in rows)
+                        assert rows == tuple(row_of(cone, c) for c in classify(cone, degree).components)
+                        assert all(type(x) is int for r in rows for x in r)
 
 
 def test_iter_rows_on_the_e8_full_flag():
@@ -391,7 +394,7 @@ def test_iter_rows_on_the_e8_full_flag():
     p = build_parabolic(rs, tuple(range(1, 9)))
     cone = build_cone(p, minimal_ample(p), 1)
     for degree in range(5):
-        assert tuple(iter_rows(cone, degree)) == tuple(map(row_of, classify(cone, degree).components))
+        assert tuple(iter_rows(cone, degree)) == tuple(row_of(cone, c) for c in classify(cone, degree).components)
 
 
 def test_iter_rows_rejects_negative_degree():
