@@ -2,13 +2,18 @@
 counts, failure mid-stream, peak memory and start-up imports."""
 
 import contextlib
+import gc
 import hashlib
+import importlib
 import io
 import json
+import re
+import runpy
 import subprocess
 import sys
 import types
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 
@@ -339,6 +344,67 @@ def test_commands_import_only_the_modules_they_use(argv, absent):
     loaded = set(eval(proc.stderr.splitlines()[-1]))
     assert "conecurves.cli" in loaded
     assert not loaded & absent
+
+
+# The fault of test_dropped_row_exits_3 as source, run in the child and in
+# process alike: the enumerator drops the class (1, 1).
+DROP_11 = (
+    "from conecurves import components\n"
+    "real = components.graded_solutions\n"
+    "components.graded_solutions = lambda w, t: (v for v in real(w, t) if v != (1, 1))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,fault,code",
+    [
+        (["gp", "--type", "A1", "--parabolic", "1"], False, 0),
+        (["gp", "--type", "A0", "--parabolic", "1"], False, 2),
+        (["classify", *A2_ARGV], True, 3),
+    ],
+    ids=["exit-0", "exit-2", "exit-3"],
+)
+def test_python_m_freezes_the_heap_and_prints_what_main_prints(monkeypatch, capsys, argv, fault, code):
+    probe = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        + (DROP_11 if fault else "")
+        + "runpy.run_module('conecurves', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True)
+    if fault:
+        monkeypatch.setattr(components, "graded_solutions", components.graded_solutions)  # restored after the test
+        exec(DROP_11, {})
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err + "True\n")
+
+
+def test_only_the_process_entry_freezes_the_heap(monkeypatch, capsys):
+    argv = ["gp", "--type", "A1", "--parabolic", "1"]
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["conecurves", *argv])
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().out == stdout_of(argv) * 2
+
+
+def test_console_script_is_the_function_python_m_calls(monkeypatch):
+    # A regex, not tomllib: the tests also run on Python 3.10.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    ((module, name),) = re.findall(r'^conecurves = "([\w.]+):(\w+)"$', pyproject, re.MULTILINE)
+    target = importlib.import_module(module)
+    assert getattr(target, name) is cli.entry
+    callers = []
+    monkeypatch.setattr(target, name, lambda: callers.append(sys._getframe(1).f_globals["__name__"]))
+    runpy.run_module("conecurves", run_name="__main__")
+    assert callers == ["__main__"]  # called by conecurves/__main__.py itself, not through another function
 
 
 def test_package_resolves_its_names_on_first_access():
