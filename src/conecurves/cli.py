@@ -30,7 +30,10 @@ compares their number (before the --exclude-vertex-stratum filter) with
 the count from the generating function; a mismatch exits 3 before the
 last batch or the footer is written.  Writing starts before the last
 row and the last stratum's lift are checked, so on exit code 3 stdout
-may hold a truncated document.
+may hold a truncated document.  The JSON footer's "equidimensional" is
+components.equidimensional's verdict, with or without the vertex
+component as --exclude-vertex-stratum says; it is decided from ell, the
+Chern degrees and the degree, so the writer collects nothing for it.
 
 Each command imports the modules it uses when it runs, so roots loads
 none of parabolic, components, conegeom and affine, gp loads none of the
@@ -58,7 +61,6 @@ import os
 import sys
 from collections.abc import Iterator
 from itertools import islice
-from operator import itemgetter
 from typing import TYPE_CHECKING, NoReturn
 
 from .errors import InputError, InternalError
@@ -162,7 +164,7 @@ def report_to_dict(report: ComponentReport) -> dict:
 
 def _write_rows(
     rows: Iterator[tuple], total: int, what: str, row: str, head: str = "", sep: str = "", exclude: bool = False
-) -> tuple[int, set[int]]:
+) -> int:
     """Write head, then the rows laid out by the template row and joined by sep, _WRITE_BATCH rows to a write.
 
     total is the generating-function count of the rows; over
@@ -177,13 +179,11 @@ def _write_rows(
     a row's check or a lift's check fails (exit code 3), stdout holds
     head and full batches only, and no footer: nothing when the failure
     comes within the first batch.  head goes out with the first batch,
-    alone when no row is written.  Returns the number of rows written
-    and the set of their last fields, which are classify's dimensions.
+    alone when no row is written.  Returns the number of rows written.
     """
     if total > _MAX_CLASSES:
         raise InputError(f"the request has {total} {what}, more than the limit {_MAX_CLASSES}")
     taken = written = 0
-    last: set[int] = set()
     while True:
         batch = list(islice(rows, _WRITE_BATCH))
         taken += len(batch)
@@ -197,9 +197,8 @@ def _write_rows(
             sys.stdout.write(head + sep.join(map(row.__mod__, batch)))
             head = sep
         written += len(batch)
-        last.update(map(itemgetter(-1), batch))
         if final:
-            return written, last
+            return written
 
 
 def _json_list(items: list[str], indent: str) -> str:
@@ -265,13 +264,13 @@ def cmd_ne(args: argparse.Namespace) -> int:
     cone = _make_cone(args)
     total = count_solutions(cone.ell, args.degree)
     row = "ne " + ",".join(["%d"] * len(cone.ell)) + "\n"
-    count, _ = _write_rows(checked_solutions(cone.ell, args.degree), total, "effective classes", row)
+    count = _write_rows(checked_solutions(cone.ell, args.degree), total, "effective classes", row)
     sys.stdout.write(f"count {count}\n")
     return 0
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    from .components import count_components, iter_rows
+    from .components import count_components, equidimensional, iter_rows
     from .conegeom import has_lines
 
     cone = _make_cone(args)
@@ -292,11 +291,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "    }"
         )
     rows, total = iter_rows(cone, args.degree), count_components(cone, args.degree)
-    count, dims = _write_rows(rows, total, "components", row, head, sep, args.exclude_vertex_stratum)
+    count = _write_rows(rows, total, "components", row, head, sep, args.exclude_vertex_stratum)
     if args.format == "json":
+        verdict = equidimensional(cone, args.degree, without_vertex=args.exclude_vertex_stratum)
         sys.stdout.write(
             ("\n  ]" if count else "]")
-            + f',\n  "count": {count},\n  "equidimensional": {"true" if len(dims) <= 1 else "false"}\n}}\n'
+            + f',\n  "count": {count},\n  "equidimensional": {"true" if verdict else "false"}\n}}\n'
         )
     return 0
 

@@ -25,6 +25,13 @@ for is that a class lies in its stratum, so each one is checked to have
 <beta, ell> = d' (and, on rows, nonnegative coordinates); a failure
 raises InternalError.
 
+Whether the components share one dimension depends only on which beta
+occur, and so only on ell and d: equidimensional decides it from ell,
+the Chern degrees and d in one pass over the coordinates, listing
+nothing (its docstring has the proof).  classify's report, the command
+line's JSON footer and is_equidimensional all take their verdict from
+it; selfcheck holds it to the listed dimensions.
+
 The command line prints the flat rows of iter_rows, (*beta,
 alpha_prime, vertex_multiplicity, relative_degree, e, dimension) with e
 the stratum lift's exceptional intersection, as they come: iter_rows
@@ -151,18 +158,21 @@ class ComponentReport:
 
 @dataclass(frozen=True)
 class EquidimReport:
-    """Equidimensionality, computed directly, next to the closed-form criterion.
+    """Equidimensionality at one degree, next to the closed-form criterion.
 
-    closed_form is the degree-independent criterion chern == 2*ell in
-    the lines case and chern == ell in the no-lines case; agree records
-    whether it matches the direct computation at this degree.
+    equidimensional is the verdict of components.equidimensional, the
+    one classify reports.  closed_form is the paper's degree-independent
+    criterion, chern == 2*ell in the lines case and chern == ell in the
+    no-lines case; agree records whether it matches the verdict at this
+    degree.  It need not: with lines the verdict holds at every degree
+    exactly when chern is proportional to ell, so A2 node 1 with ell = 1
+    (chern = 3*ell) gives agree=False.
     """
 
     equidimensional: bool
     closed_form: bool
     agree: bool
     case: str
-    dimensions: tuple[int, ...]
 
 
 def ne(cone: ConeSpace, degree: int) -> list[EffectiveClass]:
@@ -417,8 +427,9 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
     component's dimension is the stratum's base plus <beta, chern>.  At
     the end, the number of components is compared with count_components,
     as the command line compares its rows.  A failure raises
-    InternalError.  equidimensional says whether the components share
-    one dimension.
+    InternalError.  equidimensional, whether the components share one
+    dimension, is the verdict of the function of that name, which
+    decides it from ell, the Chern degrees and the degree.
     """
     ell, chern = cone.ell, cone.parabolic.chern_degrees
     top = (cone.vertex_dim + 1) * degree + cone.dim_x
@@ -438,11 +449,7 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
     if len(components) != total:
         raise InternalError(f"enumerated {len(components)} components, but the generating function counts {total}")
     return ComponentReport(
-        cone,
-        degree,
-        "lines" if has_lines(cone) else "no_lines",
-        components,
-        len({c.dimension for c in components}) <= 1,
+        cone, degree, "lines" if has_lines(cone) else "no_lines", components, equidimensional(cone, degree)
     )
 
 
@@ -461,25 +468,57 @@ def count_components(cone: ConeSpace, degree: int) -> int:
     return count_solutions(cone.ell + (1,), degree)
 
 
-def is_equidimensional(cone: ConeSpace, degree: int) -> EquidimReport:
-    """Whether all components at this degree share one dimension, with diagnostics.
+def equidimensional(cone: ConeSpace, degree: int, without_vertex: bool = False) -> bool:
+    """Whether the components at this degree share one dimension, decided from ell, c and the degree alone.
 
-    The answer is computed directly from the classified dimensions; the
-    closed-form criterion (chern == 2*ell with lines, chern == ell
-    without) is reported alongside, never substituted for the
-    computation.
+    A component's dimension is <beta, c - ell> + (n+1)*degree + dim_x,
+    so the question is whether <beta, c - ell> takes one value on the
+    index set.  A coordinate with ell_i > degree is 0 in every class and
+    never counts: below, i runs over the coordinates with ell_i <= degree.
+
+    With lines, let j be a line coordinate, ell_j = 1.  degree*e_j and
+    e_i + (degree - ell_i)*e_j are both in ne(degree), and their values
+    differ by c_i - ell_i*c_j.  So the verdict needs c_i = ell_i*c_j for
+    every i, and that is enough: it makes <beta, c> = c_j*<beta, ell> =
+    c_j*degree on every class.
+
+    Without lines, 0 and each e_i are classes (of the strata d' = 0 and
+    d' = ell_i), so the verdict needs c_i = ell_i for every i, which
+    makes every value 0.  With without_vertex the vertex component beta
+    = 0 is left out, as `classify --exclude-vertex-stratum` leaves it.
+    If 2*min(ell) > degree, every class left has coordinate sum 1, so
+    the classes are the e_i alone and the verdict is that c_i - ell_i
+    takes one value.  Otherwise 2*e_m is a class with e_m, m a
+    coordinate of least ell, so that value must be 0: the rule with the
+    vertex.  With lines, 2*min(ell) > degree only at degree <= 1, where
+    the first i counted is the line j, whose value is 0, so the rule is
+    the same with or without the vertex.
+
+    A negative degree raises InputError.
     """
-    report = classify(cone, degree)
-    chern = cone.parabolic.chern_degrees
-    if report.case == "lines":
-        closed_form = all(c == 2 * l for c, l in zip(chern, cone.ell))
-    else:
-        closed_form = all(c == l for c, l in zip(chern, cone.ell))
-    dims = tuple(d.dimension for d in report.components)
-    return EquidimReport(
-        report.equidimensional,
-        closed_form,
-        report.equidimensional == closed_form,
-        report.case,
-        dims,
-    )
+    if degree < 0:
+        raise InputError(f"degree must be >= 0, got {degree}")
+    ell, chern = cone.ell, cone.parabolic.chern_degrees
+    scale = chern[ell.index(1)] if 1 in ell else 1
+    # The value every counted c_i - ell_i*scale must take: 0, or (None) with the vertex
+    # left out and only the e_i as classes, whichever value comes first.
+    want = None if without_vertex and 2 * min(ell) > degree else 0
+    for l, c in zip(ell, chern):
+        if l <= degree and c - l * scale != want:
+            if want is not None:
+                return False
+            want = c - l * scale
+    return True
+
+
+def is_equidimensional(cone: ConeSpace, degree: int) -> EquidimReport:
+    """Whether all components at this degree share one dimension, next to the paper's criterion.
+
+    The verdict is equidimensional's, which lists nothing, and is the
+    one classify reports; the closed-form criterion (chern == 2*ell
+    with lines, chern == ell without) is reported alongside, never
+    substituted for it.  A negative degree raises InputError.
+    """
+    verdict, lines = equidimensional(cone, degree), has_lines(cone)
+    closed_form = all(c == (2 if lines else 1) * l for c, l in zip(cone.parabolic.chern_degrees, cone.ell))
+    return EquidimReport(verdict, closed_form, verdict == closed_form, "lines" if lines else "no_lines")

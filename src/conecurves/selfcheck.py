@@ -202,16 +202,25 @@ def _box_scan(ell: tuple[int, ...], degree: int) -> list[tuple[int, ...]]:
 
 
 def _suite_ne_enumeration(res: SuiteResult) -> None:
-    """ne equals the box-scan oracle as ordered lists; the counts equal the listed sizes."""
+    """ne equals the box-scan oracle as ordered lists; the counts equal the listed sizes.
+
+    The equidimensionality verdict, which lists nothing, is held to the
+    dimensions classify lists, once with every component and once
+    without the vertex component beta = 0.
+    """
 
     def checks(cone, degree):
         got, want = [b.coeffs for b in components.ne(cone, degree)], _box_scan(cone.ell, degree)
         yield got != want and f"{got} != {want}"
         count = components.count_solutions(cone.ell, degree)
         yield len(got) != count and f"ne lists {len(got)}, count_solutions says {count}"
-        listed = len(components.classify(cone, degree).components)
+        listed = components.classify(cone, degree).components
         count = components.count_components(cone, degree)
-        yield listed != count and f"classify lists {listed}, count_components says {count}"
+        yield len(listed) != count and f"classify lists {len(listed)}, count_components says {count}"
+        for without_vertex in (False, True):
+            dims = {c.dimension for c in listed if c.alpha_prime or not without_vertex}
+            verdict = components.equidimensional(cone, degree, without_vertex)
+            yield verdict != (len(dims) <= 1) and f"verdict {verdict} ({without_vertex=}), dimensions {sorted(dims)}"
 
     for k in (1, 2, 3):
         p = parabolic.build_parabolic(rootsys.build_root_system(rootsys.CartanType("A", k)), tuple(range(1, k + 1)))

@@ -252,7 +252,7 @@ SELFCHECK_PASS = """\
 root-counts: 99 checks, 0 failures
 lines-dichotomy: 1192 checks, 0 failures
 dimension-cross-check: 2724 checks, 0 failures
-ne-enumeration: 2772 checks, 0 failures
+ne-enumeration: 4620 checks, 0 failures
 classical-oracles: 29 checks, 0 failures
 selfcheck PASS
 """
@@ -299,7 +299,7 @@ def test_selfcheck_detects_flipped_cartan_sign(monkeypatch, capsys):
         "root-counts": (99, 2),
         "lines-dichotomy": (1192, 0),
         "dimension-cross-check": (2724, 336),
-        "ne-enumeration": (2772, 0),
+        "ne-enumeration": (4620, 0),
         "classical-oracles": (29, 2),
     }
 
@@ -358,18 +358,27 @@ def _raise_a3_node_1_chern_degree(monkeypatch):
     monkeypatch.setattr(parabolic, "build_parabolic", build)
 
 
+def _vertex_clause_dropped(monkeypatch):
+    """The equidimensionality verdict ignores without_vertex: the rule with the vertex, always."""
+    real = components.equidimensional
+    monkeypatch.setattr(components, "equidimensional", lambda cone, degree, without_vertex=False: real(cone, degree))
+
+
 # Each suite's (checks, failures) under each fault, in _SUITES order: root-counts,
 # lines-dichotomy, dimension-cross-check, ne-enumeration, classical-oracles.
 # Under a wrong count, every classify call raises InternalError, one failed check
 # each.  dimension-cross-check reads its dimensions from iter_rows, which does not
 # count, so it still checks every row and fails two checks per degree: the row
 # count against count_components, and the classify call.
+# ne-enumeration's two verdict checks follow its classify call, so they run only
+# where that call returns.
 FAULT_COUNTS = {
     _wrong_count: ((99, 0), (1192, 315), (2724, 504), (2772, 1848), (29, 8)),
-    _dropped_row: ((99, 0), (1192, 0), (2724, 0), (2772, 1758), (29, 0)),
-    _wrong_root_length: ((99, 1), (1192, 0), (2724, 0), (2772, 0), (29, 0)),
-    _empty_point_lifts: ((99, 0), (1192, 0), (2724, 48), (2772, 0), (29, 0)),
-    _raise_a3_node_1_chern_degree: ((99, 0), (1192, 0), (2724, 336), (2772, 0), (29, 1)),
+    _dropped_row: ((99, 0), (1192, 0), (2724, 0), (3332, 1758), (29, 0)),
+    _wrong_root_length: ((99, 1), (1192, 0), (2724, 0), (4620, 0), (29, 0)),
+    _empty_point_lifts: ((99, 0), (1192, 0), (2724, 48), (4620, 0), (29, 0)),
+    _raise_a3_node_1_chern_degree: ((99, 0), (1192, 0), (2724, 336), (4620, 0), (29, 1)),
+    _vertex_clause_dropped: ((99, 0), (1192, 0), (2724, 0), (4620, 29), (29, 0)),
 }
 
 
@@ -394,7 +403,7 @@ def test_a_suite_that_raises_is_reported_aborted_and_the_others_run(monkeypatch,
         "root-counts": (99, []),
         "lines-dichotomy": (1192, []),
         "dimension-cross-check": (0, ["aborted: ZeroDivisionError('injected')"]),
-        "ne-enumeration": (2772, []),
+        "ne-enumeration": (4620, []),
         "classical-oracles": (29, []),
     }
     code, out, _ = run(capsys, ["selfcheck"])

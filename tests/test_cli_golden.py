@@ -4,9 +4,11 @@ Each hash is the sha256 of the command's stdout as recorded before the
 classify hot path was rebuilt around conegeom.lift and the graded
 enumerator; a changed hash means the printed output changed.  The
 STREAMED hashes were recorded before classify, ne and TSV output were
-streamed through hand-laid, batched writers, except the last two, which
-were recorded before ne and classify shared one batch writer and
-iter_rows yielded the printed row.  The E8 `roots` and `gp`
+streamed through hand-laid, batched writers, except the last four: two
+recorded before ne and classify shared one batch writer and iter_rows
+yielded the printed row, and two, with and without the vertex
+component, whose footers give different verdicts, recorded while the
+writer collected the footer's dimensions.  The E8 `roots` and `gp`
 hashes were recorded while the positive roots were ordered by one sort
 keyed on grade_key.
 """
@@ -95,6 +97,19 @@ STREAMED = [
         ["classify", "--type", "A3", "--parabolic", "1,2", "--lambda", "1,2,0", "--vertex-dim", "2",
          "--degree", "4"],
         "29cd7ccc6d7fe91a5e8052d671185321068050c269175cdaf883ba117365eca6",
+    ),
+    # P^2 (c = 3) with ell = 2, no lines: at d = 2 the vertex component (dimension 7) and
+    # e_1 (dimension 8) differ, and without the vertex the one component left agrees with itself.
+    (
+        "classify json not equidimensional with the vertex",
+        ["classify", "--type", "A2", "--parabolic", "1", "--lambda", "2,0", "--vertex-dim", "1", "--degree", "2"],
+        "15a90f4ac4a9c4fa93d314750c2465003101aaf0e1b5a2c9ed73bca67e3b2ff5",
+    ),
+    (
+        "classify json equidimensional without the vertex",
+        ["classify", "--exclude-vertex-stratum", "--type", "A2", "--parabolic", "1", "--lambda", "2,0",
+         "--vertex-dim", "1", "--degree", "2"],
+        "01c5bd8963d57b93259f434cea6c1f498de8863ae0944e16f379a1e94c5c7592",
     ),
 ]
 

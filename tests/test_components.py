@@ -300,7 +300,7 @@ def test_is_equidimensional_mixed_degrees():
     assert not rep.equidimensional
     assert not rep.closed_form
     assert rep.agree
-    assert sorted(rep.dimensions) == [8, 10]
+    assert sorted(c.dimension for c in classify(cone, 2).components) == [8, 10]
 
 
 def test_closed_form_is_reported_not_trusted():
@@ -363,6 +363,75 @@ def test_dimension_formula_constancy_matches_equidimensionality():
                 for c_ in rep.components
             }
             assert rep.equidimensional == (len(spreads) <= 1)
+
+
+def verdict_mismatches(rule):
+    """The (cone, degree, without_vertex) of a grid where rule disagrees with the listed dimensions.
+
+    The grid: every marked diagram of rank <= 3 (the types of
+    selfcheck.all_types(3)), ell in {1, 2, 3}^k, n in {1, 2}, d <= 8.
+    The listed dimensions are the last fields of iter_rows' rows, without
+    the vertex row (alpha_prime 0) when without_vertex.  Returns the
+    mismatches and the number of cases checked.
+    """
+    bad, cases = [], 0
+    for type_name in ("A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"):
+        rs = build_root_system(CartanType.parse(type_name))
+        for size in range(1, rs.rank + 1):
+            for nodes in combinations(range(1, rs.rank + 1), size):
+                p = build_parabolic(rs, nodes)
+                for ell in product((1, 2, 3), repeat=size):
+                    for n in (1, 2):
+                        cone = cone_from_ell(p, ell, n)
+                        for degree in range(9):
+                            rows = list(iter_rows(cone, degree))
+                            for without_vertex in (False, True):
+                                dims = {r[-1] for r in rows if r[-5] or not without_vertex}
+                                cases += 1
+                                if rule(cone, degree, without_vertex) != (len(dims) <= 1):
+                                    bad.append((type_name, nodes, ell, n, degree, without_vertex))
+    return bad, cases
+
+
+def test_equidimensional_rule_matches_the_listed_dimensions():
+    bad, cases = verdict_mismatches(components.equidimensional)
+    assert not bad
+    assert cases == 11340
+
+
+@pytest.mark.parametrize(
+    "control",
+    [
+        # The paper's closed form in place of the rule: A2 node 1, ell = 1 has c = 3 ell, not 2 ell.
+        lambda cone, degree, without_vertex: is_equidimensional(cone, degree).closed_form,
+        # The rule without its 2*min(ell) > d clause: A1 with ell = 3 has only e_1 left at d = 3..5.
+        lambda cone, degree, without_vertex: components.equidimensional(cone, degree),
+    ],
+    ids=["closed-form", "no-vertex-clause-dropped"],
+)
+def test_verdict_grid_rejects_a_wrong_rule(control):
+    bad, _ = verdict_mismatches(control)
+    assert bad
+
+
+def test_equidimensional_lists_nothing(monkeypatch):
+    def refuse(weights, target):
+        raise AssertionError("enumerated")
+
+    monkeypatch.setattr(components, "graded_solutions", refuse)
+    lines, no_lines = make_cone("A2", (1,), (1,), 1), make_cone("A2", (1, 2), (2, 3), 1)
+    assert is_equidimensional(lines, 100000) == components.EquidimReport(True, False, False, "lines")
+    assert is_equidimensional(no_lines, 100000) == components.EquidimReport(False, False, True, "no_lines")
+    assert components.equidimensional(make_cone("A1", (1,), (3,), 1), 5, without_vertex=True)
+
+
+def test_equidimensional_rejects_negative_degree_as_classify_does():
+    cone = make_cone("A1", (1,), (1,), 1)
+    with pytest.raises(InputError) as verdict:
+        is_equidimensional(cone, -2)
+    with pytest.raises(InputError) as listed:
+        classify(cone, -2)
+    assert str(verdict.value) == str(listed.value) == "degree must be >= 0, got -2"
 
 
 def row_of(cone, c):
