@@ -56,8 +56,13 @@ move its collections.
 Index sets come from one enumerator, graded_solutions, which emits the
 vectors of a fixed weighted degree already in grade_key order (ascending
 coordinate sum, then decreasing lexicographic), so nothing is sorted
-afterwards; ne and checked_solutions list through it.  conegeom.lift
-is the one source of l, e and x.
+afterwards; ne and checked_solutions list through it.  It opens one
+recursive frame per feasible prefix up to the first index from which
+the weights are all equal, and lists that suffix's compositions from
+one frame by a successor rule, with no recursion.  Under the minimal
+ample weight, and under any constant ell, ne(d) is the set of
+compositions of d / ell_1 into k parts, so it lists from one frame.
+conegeom.lift is the one source of l, e and x.
 
 Sizes come from one counting routine, count_solutions, which never
 lists anything: the number of nonnegative v with <v, w> = t is the
@@ -200,23 +205,42 @@ def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[in
     The weights must be positive and nonempty and the target
     nonnegative; callers validate both, and nothing here checks them.
     For each coordinate sum s, ascending, the vectors of that sum are
-    emitted in decreasing lexicographic order: each coordinate runs
-    downward over exactly the values that leave a remaining degree t'
-    reachable by the remaining sum s' on the suffix, s'*min(suffix) <=
-    t' <= s'*max(suffix).  That range invariant holds in every frame and
-    decides the leaves without a filter.  On the last coordinate min =
-    max = its weight, so t' = weight * s' and the vector is (.., s').  On
-    a last pair of equal weights a the same holds with a, and every
-    split of s' is a vector.  On a last pair (a, b) with a != b, v = (t'
-    - b*s') / (a - b) solves the two linear equations, and the invariant
-    already puts it in [0, s'] whenever the division is exact, so
-    divisibility alone decides.  A coordinate's range starts from [0,
-    s']: every value the range bounds then admit leaves t' - a*v >=
-    min(suffix) * (s' - v) >= 0, so a*v <= t' needs no bound of its own.
-    Where a > min(suffix), the bound (t' - s'*min) / (a - min) replaces
-    s' outright: for a >= max(suffix) the invariant puts it at or below
-    s', and for a < max(suffix) a bound above s' means t' > a*s', which
-    puts the bound (s'*max - t') / (max - a) below s'.
+    emitted in decreasing lexicographic order.  A frame fixes a prefix
+    and holds the remaining sum s' and degree t' of the suffix that
+    follows it; the range invariant s'*min(suffix) <= t' <= s'*max(suffix)
+    holds in every frame, and it decides the leaves without a filter.
+    A frame is one of three kinds.
+
+    An equal suffix, min(suffix) = max(suffix) = a: the invariant forces
+    t' = a*s', so every composition of s' into the m coordinates of the
+    suffix is a vector, and no other is.  The frame lists them with no
+    recursion, in decreasing lexicographic order, by a successor rule
+    (Knuth, TAOCP Vol. 4A, 7.2.1.3): start at (s', 0, ..., 0); to step,
+    take the rightmost nonzero coordinate j among the first m - 1, lower
+    it by one, set coordinate j + 1 to the last coordinate's value plus
+    one, and zero the last coordinate unless j + 1 is the last.  The
+    coordinates strictly between j and the last are 0, so no later
+    composition keeps the first j + 1 coordinates; the next one lowers
+    coordinate j by one and puts all that is left after it on coordinate
+    j + 1, the largest tail there is.  The rule stops when the first m -
+    1 coordinates are all 0, at (0, ..., 0, s').
+    This covers the last coordinate alone (m = 1), and a weight vector
+    that is constant from its first coordinate on, which lists from one
+    frame: only s = target / a is in range.
+
+    A last pair (a, b) with a != b: v = (t' - b*s') / (a - b) solves the
+    two linear equations, and the invariant already puts it in [0, s']
+    whenever the division is exact, so divisibility alone decides.
+
+    Any other suffix: its first coordinate, of weight a, runs downward
+    over exactly the values that leave the rest of the suffix in range,
+    and each value opens a frame on the rest.  A coordinate's range
+    starts from [0, s']: every value the range bounds then admit leaves
+    t' - a*v >= min(suffix) * (s' - v) >= 0, so a*v <= t' needs no bound
+    of its own.  Where a > min(suffix), the bound (t' - s'*min) / (a -
+    min) replaces s' outright: for a >= max(suffix) the invariant puts it
+    at or below s', and for a < max(suffix) a bound above s' means t' >
+    a*s', which puts the bound (s'*max - t') / (max - a) below s'.
     """
     k = len(weights)
     w = weights
@@ -225,16 +249,31 @@ def graded_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[in
 
     def fill(prefix: tuple[int, ...], i: int, s: int, t: int) -> Iterator[tuple[int, ...]]:
         # Invariant: s * lo_w[i] <= t <= s * hi_w[i].
-        if i == k - 1:
-            yield prefix + (s,)
+        if lo_w[i] == hi_w[i]:
+            # Every composition of s into the k - i equal-weight coordinates: the first, then one
+            # per step of the successor rule, with j the rightmost nonzero coordinate before the last.
+            # The first is built as a tuple, so a frame that lists one row makes no list.
+            last = k - 1 - i
+            yield prefix + (s,) + (0,) * last
+            if not (s and last):
+                return
+            v = [s] + [0] * last
+            j = 0
+            while j >= 0:
+                v[j] -= 1
+                if j + 1 < last:
+                    v[j + 1] = v[last] + 1
+                    v[last] = 0
+                    j += 1
+                else:
+                    v[last] += 1
+                    while j >= 0 and not v[j]:
+                        j -= 1
+                yield prefix + tuple(v)
             return
         a = w[i]
         if i == k - 2:
             b = w[i + 1]
-            if a == b:
-                for v in range(s, -1, -1):
-                    yield prefix + (v, s - v)
-                return
             v, r = divmod(t - b * s, a - b)
             if not r:
                 yield prefix + (v, s - v)

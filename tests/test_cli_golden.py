@@ -4,13 +4,15 @@ Each hash is the sha256 of the command's stdout as recorded before the
 classify hot path was rebuilt around conegeom.lift and the graded
 enumerator; a changed hash means the printed output changed.  The
 STREAMED hashes were recorded before classify, ne and TSV output were
-streamed through hand-laid, batched writers, except the last four: two
+streamed through hand-laid, batched writers, except the last six: two
 recorded before ne and classify shared one batch writer and iter_rows
-yielded the printed row, and two, with and without the vertex
-component, whose footers give different verdicts, recorded while the
-writer collected the footer's dimensions.  The E8 `roots` and `gp`
-hashes were recorded while the positive roots were ordered by one sort
-keyed on grade_key.
+yielded the printed row, two, with and without the vertex component,
+whose footers give different verdicts, recorded while the writer
+collected the footer's dimensions, and two whose weights put a general
+enumerator frame above an equal suffix, recorded while each row of that
+suffix still passed through one frame per coordinate.  The E8 `roots`
+and `gp` hashes were recorded while the positive roots were ordered by
+one sort keyed on grade_key.
 """
 
 import hashlib
@@ -110,6 +112,20 @@ STREAMED = [
         ["classify", "--exclude-vertex-stratum", "--type", "A2", "--parabolic", "1", "--lambda", "2,0",
          "--vertex-dim", "1", "--degree", "2"],
         "01c5bd8963d57b93259f434cea6c1f498de8863ae0944e16f379a1e94c5c7592",
+    ),
+    # ell = (3, 1, 1, 1) and (3, 2, 2, 2): the first coordinate runs in a general frame, and the
+    # three after it are an equal suffix listed as compositions.  The ne document counts 185 rows.
+    (
+        "ne general frame above an equal suffix A4",
+        ["ne", "--type", "A4", "--parabolic", "1,2,3,4", "--lambda", "3,1,1,1", "--vertex-dim", "1",
+         "--degree", "12"],
+        "f71bdcdadfac9b3c299ebfddfc7c337d3f3fe156b349609f4dda3743ab80121d",
+    ),
+    (
+        "classify tsv general frame above an equal suffix D4",
+        ["classify", "--format", "tsv", "--type", "D4", "--parabolic", "1,2,3,4", "--lambda", "3,2,2,2",
+         "--vertex-dim", "1", "--degree", "9"],
+        "5a14a1da1995901e1b8600a8fde61b4e660beec6ffe73d7e21958d4f3856e0bf",
     ),
 ]
 

@@ -1,10 +1,11 @@
 """The graded enumerator behind ne and checked_solutions, and the counting routine beside it."""
 
+import random
 import subprocess
 import sys
 import time
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -89,6 +90,51 @@ def test_mixed_weights_match_sorted_box_scan(weights):
         assert count_solutions(weights, target) == len(want), target
 
 
+def equal_suffix_start(weights):
+    """The first index from which the weights are all equal."""
+    return next(i for i in range(len(weights)) if len(set(weights[i:])) == 1)
+
+
+def equal_tail_weights(seed, per_shape=2):
+    """Seeded weight vectors whose equal tail has each length 1..k, for k <= 8.
+
+    The tail weight differs from the weight before it, so the equal
+    suffix starts exactly k - tail coordinates in; a head of two or more
+    ends in an unequal pair on the first vector of each shape, and any
+    head puts a general frame above the tail.
+    """
+    rng = random.Random(seed)
+    for k in range(1, 9):
+        for tail in range(1, k + 1):
+            for n in range(per_shape):
+                a = 1 if n == 0 else rng.randint(1, 3)
+                head = [rng.randint(1, 4) for _ in range(k - tail)]
+                if len(head) >= 2 and n == 0:
+                    head[-2] = head[-1] + rng.randint(1, 2)
+                if head and head[-1] == a:
+                    head[-1] = a + 1
+                yield tuple(head + [a] * tail)
+
+
+def test_equal_tails_of_every_length_match_sorted_box_scan():
+    # Every target whose box, the brute force's work, holds at most 7,000 vectors:
+    # 3^8 = 6,561 admits compositions of 2 into all eight coordinates of ell = 1^8.
+    spread = set()
+    for weights in equal_tail_weights(seed=34):
+        k = len(weights)
+        e = equal_suffix_start(weights)
+        assert e == 0 or weights[e - 1] != weights[e]
+        for target in range(13):
+            if prod(target // w + 1 for w in weights) > 7000:
+                break
+            got = list(graded_solutions(weights, target))
+            assert got == sorted_box_scan(weights, target), (weights, target)
+            if any(sum(map(bool, v[e:])) >= 2 for v in got):
+                spread.add((k, k - e))
+    # Each tail of two or more coordinates listed a row that splits its sum.
+    assert spread == {(k, tail) for k in range(2, 9) for tail in range(2, k + 1)}
+
+
 def test_target_zero_single_weight_and_unreachable_target():
     assert list(graded_solutions((3, 1, 2), 0)) == [(0, 0, 0)]
     assert list(graded_solutions((3,), 9)) == [(3,)]
@@ -131,18 +177,22 @@ def feasible_prefixes(weights, target):
     """Brute force: how many `fill` frames listing the solutions needs.
 
     Each coordinate sum s whose degree the weights can reach, then each
-    prefix of length at most k - 2 whose remainder (s', t') the suffix
-    can still reach: min(suffix) * s' <= t' <= max(suffix) * s'.  The
-    last two coordinates are solved inside their frame.
+    prefix of length j whose remainder (s', t') the suffix can still
+    reach, min(suffix) * s' <= t' <= max(suffix) * s', for j up to the
+    first index e from which the weights are all equal, and up to k - 2:
+    a frame on an equal suffix lists its compositions itself, and a last
+    pair of unequal weights is solved inside its frame.  With k = 1 the
+    one frame has j = 0.
     """
     k = len(weights)
+    e = equal_suffix_start(weights)
 
     def reachable(j, s, t):
         return min(weights[j:]) * s <= t <= max(weights[j:]) * s
 
     count = 0
     for s in range(target + 1):
-        for j in range(max(k - 1, 1)):
+        for j in range(max(min(e, k - 2), 0) + 1):
             for prefix in vectors_with_sum_at_most(j, s):
                 t = target - sum(a * b for a, b in zip(prefix, weights))
                 count += reachable(j, s - sum(prefix), t)
@@ -156,9 +206,12 @@ def test_the_enumerator_opens_exactly_the_feasible_prefixes():
         for weights in product(range(1, 5), repeat=k):
             for target in range(11):
                 assert fill_frames(weights, target) == feasible_prefixes(weights, target), (weights, target)
+    # The E8 full flag under the minimal ample weight: ell = 1^8, one equal suffix from the
+    # first coordinate, so its comb(15, 7) = 6,435 rows at d = 8 come from one frame.
     p = build_parabolic(build_root_system(CartanType("E", 8)), tuple(range(1, 9)))
     ell = build_cone(p, minimal_ample(p), 1).ell
-    assert fill_frames(ell, 8) == feasible_prefixes(ell, 8) == comb(15, 6) == 5005
+    assert fill_frames(ell, 8) == feasible_prefixes(ell, 8) == 1
+    assert len(list(graded_solutions(ell, 8))) == comb(15, 7)
 
 
 def test_ne_length_is_the_generating_function_coefficient():
