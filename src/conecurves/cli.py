@@ -9,10 +9,11 @@ rootsys.parse_decimal.  A reader that closes stdout early
 nothing on stderr: stdout is pointed at os.devnull so that the
 interpreter's final flush does not fail again.
 
-The work of one run is bounded: ne, classify and affine-compare refuse a
+The rows of one run are bounded: ne, classify and affine-compare refuse a
 degree above _MAX_DEGREE while parsing, and ne and classify refuse, from
 the count alone and before enumerating, a request for more than
-_MAX_CLASSES classes or components (exit code 2).
+_MAX_CLASSES classes or components (exit code 2).  The enumerator's work
+is not bounded yet: it can walk prefixes from which no row is reachable.
 
 ne and classify write through one batch writer, _write_rows, straight
 from one checked stream: ne from components.checked_solutions, the

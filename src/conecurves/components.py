@@ -57,9 +57,12 @@ Index sets come from one enumerator, graded_solutions, which emits the
 vectors of a fixed weighted degree already in grade_key order (ascending
 coordinate sum, then decreasing lexicographic), so nothing is sorted
 afterwards; ne and checked_solutions list through it.  It opens one
-recursive frame per feasible prefix up to the first index from which
-the weights are all equal, and lists that suffix's compositions from
-one frame by a successor rule, with no recursion.  Under the minimal
+recursive frame per feasible prefix, of length up to the first index
+from which the weights are all equal and at most k - 2: a frame on an
+equal suffix lists its compositions by a successor rule, with no
+recursion, and a frame on an unequal last pair solves for it.  So
+weights (1, 2) at target 4 open 3 frames, all on the empty prefix, one
+per feasible coordinate sum 2, 3 and 4.  Under the minimal
 ample weight, and under any constant ell, ne(d) is the set of
 compositions of d / ell_1 into k parts, so it lists from one frame.
 conegeom.lift is the one source of l, e and x.

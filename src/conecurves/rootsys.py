@@ -30,9 +30,7 @@ Everything is exact integer arithmetic; nothing here is floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress, repeat
+from dataclasses import dataclass, field
 from operator import gt, mul
 
 from .errors import InputError, InternalError
@@ -100,30 +98,21 @@ class RootSystem:
     height, by decreasing leading coefficients; the first `rank` entries
     are therefore the simple roots themselves.  symmetrizer holds the
     half square lengths d_i of the simple roots, short roots 1, so that
-    diag(d) * cartan is symmetric.
+    diag(d) * cartan is symmetric.  support_masks holds the support of
+    each positive root as a bitmask, bit i - 1 for node i, in root order;
+    build_root_system fills it from the reflection closure.  It is a field
+    that equality, hashing and repr ignore.
     """
 
     cartan_type: CartanType
     cartan: Matrix
     positive_roots: tuple[Root, ...]
     symmetrizer: tuple[int, ...]
+    support_masks: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
         return self.cartan_type.rank
-
-    @cached_property
-    def support_masks(self) -> tuple[int, ...]:
-        """The support of each positive root as a bitmask, bit i - 1 for node i, in root order.
-
-        build_root_system fills it from the reflection closure, which
-        carries each root's mask up from the simple roots; any other
-        instance, such as one dataclasses.replace makes, computes it here
-        from its own roots on first use and keeps it.  It is not a field,
-        so equality, hashing and repr ignore it.
-        """
-        bits = [1 << i for i in range(self.rank)]
-        return tuple(map(sum, map(compress, repeat(bits), self.positive_roots)))
 
 
 def grade_key(vec: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -227,9 +216,7 @@ def build_root_system(ctype: CartanType) -> RootSystem:
     """Construct the full root system of a simple type, with its support masks filled in."""
     C = cartan_matrix(ctype)
     roots, masks = _generate_positive_roots(C)
-    rs = RootSystem(ctype, C, roots, _DYNKIN[ctype.series](ctype.rank)[1])
-    rs.__dict__["support_masks"] = masks  # where cached_property would keep it
-    return rs
+    return RootSystem(ctype, C, roots, _DYNKIN[ctype.series](ctype.rank)[1], masks)
 
 
 def pair(rs: RootSystem, i: int, root: Root) -> int:

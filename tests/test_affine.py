@@ -213,28 +213,24 @@ def test_compare_ne_ir_computes_the_factors_once_per_parabolic(monkeypatch):
     calls = count_highest_roots_calls(monkeypatch)
     rs = build_root_system(CartanType("A", 4))
     p = build_parabolic(rs, (1, 3, 4))
-    masks = rs.support_masks
     cone = build_cone(p, minimal_ample(p), 1)
     results = [compare_ne_ir(cone, d) for d in range(11)]
     assert len(calls) == 1
     assert {(c.factor_nodes, c.factor_comarks) for c in results} == {(((1,), (3, 4)), ((1, 1), (1, 1, 1)))}
-    # Each value filled on first use is kept: the root system's masks and
-    # the factor split, whose tuples every record shares.
-    assert rs.support_masks is masks
+    # The factor split filled on first use is kept: every record shares its tuples.
     nodes, vecs, joined = p.factor_split
     assert joined == (1, 1, 1, 1, 1)
     assert all(c.factor_nodes is nodes and c.factor_comarks is vecs for c in results)
-    # The filled values are not fields: the parabolic and its root system
-    # still equal, hash and print like ones with nothing filled yet.
+    # The factor split is not a field and the masks are one that comparison
+    # and repr ignore: the parabolic still equals, hashes and prints like one
+    # with nothing filled yet, and the root system like one without masks.
     fresh = build_parabolic(rs, (1, 3, 4))
-    bare_rs = replace(rs)
+    bare_rs = replace(rs, support_masks=())
     assert "factor_split" in vars(p) and "factor_split" not in vars(fresh)
-    assert "support_masks" in vars(rs) and "support_masks" not in vars(bare_rs)
     for filled, bare in ((p, fresh), (rs, bare_rs)):
         assert filled == bare
         assert hash(filled) == hash(bare)
         assert repr(filled) == repr(bare)
-    assert bare_rs.support_masks == masks
 
 
 def test_replaced_parabolic_computes_its_factors_again(monkeypatch):
@@ -254,9 +250,3 @@ def test_replaced_parabolic_computes_its_factors_again(monkeypatch):
             bad.factor_split
         assert len(calls) == tries
     assert "factor_split" not in vars(bad)
-    # A root system replaced with other roots computes its own masks.
-    a2 = build_root_system(CartanType("A", 2))
-    assert a2.support_masks == (0b01, 0b10, 0b11)
-    more = replace(a2, positive_roots=a2.positive_roots + ((2, 0),))
-    assert "support_masks" not in vars(more)
-    assert more.support_masks == (0b01, 0b10, 0b11, 0b01)

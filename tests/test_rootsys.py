@@ -184,9 +184,19 @@ def test_highest_roots_on_all_nodes_is_the_highest_root(name):
     assert highest_root(rs) == max(rs.positive_roots, key=grade_key)
 
 
+def _masks(roots):
+    """Each root's support as a bitmask, bit i - 1 for node i, read off its coordinates."""
+    return tuple(sum(1 << i for i, c in enumerate(g) if c) for g in roots)
+
+
+def _with_roots(rs, roots, **changes):
+    """A copy of rs with other positive roots, and the support masks derived from them."""
+    return replace(rs, positive_roots=roots, support_masks=_masks(roots), **changes)
+
+
 def _a2_with(extra):
     a2 = build_root_system(CartanType("A", 2))
-    return replace(a2, positive_roots=tuple(sorted(a2.positive_roots + (extra,), key=grade_key)))
+    return _with_roots(a2, tuple(sorted(a2.positive_roots + (extra,), key=grade_key)))
 
 
 def test_highest_roots_rejects_an_undominated_root():
@@ -208,7 +218,7 @@ def test_highest_roots_rejects_a_root_straddling_two_components():
 
 def test_highest_root_requires_a_connected_diagram():
     a2 = build_root_system(CartanType("A", 2))
-    split = replace(a2, cartan=((2, 0), (0, 2)), positive_roots=((1, 0), (0, 1)))
+    split = _with_roots(a2, ((1, 0), (0, 1)), cartan=((2, 0), (0, 2)))
     assert highest_roots(split, (1, 2)) == [((1,), (1, 0)), ((2,), (0, 1))]
     with pytest.raises(InternalError, match="2 components"):
         highest_root(split)
@@ -286,13 +296,10 @@ ADMITTED_TYPES = [f"{s}{n}" for s in "ABCDEFG" for n in range(_MIN_RANK[s], _MAX
 
 @pytest.mark.parametrize("name", ADMITTED_TYPES)
 def test_support_masks_mark_the_nonzero_coordinates(name):
-    # build_root_system fills the masks from the reflection closure; a
-    # replaced copy has none until first use, then computes them from its roots.
+    # build_root_system fills the masks from the reflection closure; they
+    # match the masks read off the roots' coordinates.
     rs = build_root_system(CartanType.parse(name))
-    copy = replace(rs)
-    assert "support_masks" in vars(rs) and "support_masks" not in vars(copy)
-    want = tuple(sum(1 << i for i, c in enumerate(g) if c) for g in rs.positive_roots)
-    assert rs.support_masks == copy.support_masks == want
+    assert rs.support_masks == _masks(rs.positive_roots)
 
 
 @pytest.mark.parametrize("name", ADMITTED_TYPES)
