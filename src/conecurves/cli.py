@@ -16,25 +16,27 @@ _MAX_CLASSES classes or components (exit code 2).  The enumerator's work
 is not bounded yet: it can walk prefixes from which no row is reachable.
 
 ne and classify write through one batch writer, _write_rows, straight
-from one checked stream: ne from components.checked_solutions, the
+from a checked stream: ne from components.checked_solutions, the
 enumerator with every vector checked to be nonnegative and of the
 requested degree, and classify from components.iter_rows, which walks
-every stratum through the same checked stream and yields each component
-as the flat row its template prints.  The writer refuses the request
-from the count alone before it takes a row, takes _WRITE_BATCH rows at
-a time, lays each batch out by hand with one %-template per row and
-writes it in one stdout write while the enumeration runs, so neither
-command builds a record, a class list or a component list, memory stays
-flat as the degree grows, and the writes stay few when stdout is
-unbuffered (python -u, PYTHONUNBUFFERED=1).  When the rows end it
-compares their number (before the --exclude-vertex-stratum filter) with
-the count from the generating function; a mismatch exits 3 before the
-last batch or the footer is written.  Writing starts before the last
-row and the last stratum's lift are checked, so on exit code 3 stdout
-may hold a truncated document.  The JSON footer's "equidimensional" is
-components.equidimensional's verdict, with or without the vertex
-component as --exclude-vertex-stratum says; it is decided from ell, the
-Chern degrees and the degree, so the writer collects nothing for it.
+every stratum through the enumerator, makes the same two checks on each
+vector, the degree by the dot product that also gives its dimension, and
+yields each component as the flat row its template prints.  The writer
+refuses the request from the count alone before it takes a row, takes
+_WRITE_BATCH rows at a time, lays each batch out by hand with one
+%-template per row and writes it in one stdout write while the
+enumeration runs, so neither command builds a record, a class list or a
+component list, memory stays flat as the degree grows, and the writes
+stay few when stdout is unbuffered (python -u, PYTHONUNBUFFERED=1).
+When the rows end it compares their number (before the
+--exclude-vertex-stratum filter) with the count from the generating
+function; a mismatch exits 3 before the last batch or the footer is
+written.  Writing starts before the last row and the last stratum's lift
+are checked, so on exit code 3 stdout may hold a truncated document.
+The JSON footer's "equidimensional" is components.equidimensional's
+verdict, with or without the vertex component as
+--exclude-vertex-stratum says; it is decided from ell, the Chern degrees
+and the degree, so the writer collects nothing for it.
 
 Each command imports the modules it uses when it runs, so roots loads
 none of parabolic, components, conegeom and affine, gp loads none of the

@@ -19,11 +19,15 @@ and <beta, chern> shifts the lift's two morphism-space dimensions and
 the stated dimension by the same amount.  So the four checks of
 conegeom.lift give every class of a stratum the verdict they give its
 first class, and one lift call, on that first class, yields the base
-(the checked dimension less <beta, chern>) from which each component's
-dimension is one dot product away.  What the shared lift cannot vouch
-for is that a class lies in its stratum, so each one is checked to have
-<beta, ell> = d' (and, on rows, nonnegative coordinates); a failure
-raises InternalError.
+(the checked dimension less <beta, chern>) to which each component adds
+its own <beta, chern>.  What the shared lift cannot vouch for is that a
+class lies in its stratum, so each one is checked to have <beta, ell> =
+d' (and, on rows, nonnegative coordinates); a failure raises
+InternalError.  One dot product gives both the check and <beta, chern>:
+_packed_weights packs ell and chern into one weight vector with a radix
+m above every <beta, chern> of the strata (Kronecker substitution), and
+<beta, packed> - m*d' lies in [0, m) exactly when <beta, ell> = d', and
+is then <beta, chern> (its docstring has the proof).
 
 Whether the components share one dimension depends only on which beta
 occur, and so only on ell and d: equidimensional decides it from ell,
@@ -35,15 +39,17 @@ it; selfcheck holds it to the listed dimensions.
 The command line prints the flat rows of iter_rows, (*beta,
 alpha_prime, vertex_multiplicity, relative_degree, e, dimension) with e
 the stratum lift's exceptional intersection, as they come: iter_rows
-walks each stratum through checked_solutions and builds no record, so
-the writer's memory does not grow with the number of components.
-checked_solutions is graded_solutions with each vector checked to be
-nonnegative and of its stratum's degree; `conecurves ne` prints it too,
-so every row the command line prints has passed that check.  The
-library API takes records: classify lists each stratum by ne and builds
-a ComponentDescriptor per component.  Both take the strata and the
-per-stratum lift check from one place, so they list the same components
-in the same order under the same checks.
+walks each stratum through graded_solutions, checks each vector to be
+nonnegative, and of its stratum's degree by the packed dot product that
+also gives its dimension, and builds no record, so the writer's
+memory does not grow with the number of components.  `conecurves ne`
+prints checked_solutions, graded_solutions with the same two checks
+made by <v, ell> and min(v), so every row the command line prints has
+passed them.  The library API takes records: classify lists each
+stratum by ne and builds a ComponentDescriptor per component.  Both take
+the strata, the per-stratum lift check and the packed weights from one
+place, so they list the same components in the same order under the
+same checks.
 
 The records (EffectiveClass, ComponentDescriptor, and TildeClass from
 conegeom) are frozen, slotted dataclasses with hand-written
@@ -410,6 +416,25 @@ def _stratum_base(cone: ConeSpace, beta: tuple[int, ...], mult: int, rel: int, t
     return dim - chern_base
 
 
+def _packed_weights(cone: ConeSpace, degree: int) -> tuple[int, tuple[int, ...]]:
+    """The radix m = max(c)*degree + 1 and the packed weights m*ell_i + c_i, c the Chern degrees.
+
+    One dot product with the packed weights carries both <beta, ell> and
+    <beta, c> (Kronecker substitution).  Let beta >= 0, ell >= 1, c >= 0,
+    0 <= d' <= degree and p = <beta, packed> - m*d'.  Then p lies in
+    [0, m) exactly when <beta, ell> = d', and then p = <beta, c>.  With
+    <beta, ell> = d' + j, p = m*j + <beta, c> and 0 <= <beta, c> <=
+    max(c)*(d' + j), since each ell_i >= 1:
+      j = 0:   0 <= p = <beta, c> <= max(c)*d' < m;
+      j >= 1:  p >= m;
+      j <= -1: p <= -m + max(c)*(d' - 1) < 0.
+    Any radix above max(c)*degree would do.
+    """
+    ell, chern = cone.ell, cone.parabolic.chern_degrees
+    m = max(chern) * degree + 1
+    return m, tuple(m * l + c for l, c in zip(ell, chern))
+
+
 def _off_stratum(beta: tuple[int, ...], alpha_prime: int) -> InternalError:
     return InternalError(f"enumerated class {beta} is not an effective class of degree {alpha_prime}")
 
@@ -418,8 +443,8 @@ def checked_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[i
     """The vectors of graded_solutions, each checked to be nonnegative with <v, weights> = target.
 
     A vector that fails is an enumerator fault and raises InternalError.
-    iter_rows walks every stratum through this, and `conecurves ne`
-    prints it.
+    `conecurves ne` prints this; iter_rows makes the same checks in its
+    own loop, through the packed weights.
     """
     for v in graded_solutions(weights, target):
         if sum(map(mul, v, weights)) != target or min(v) < 0:
@@ -435,23 +460,30 @@ def iter_rows(cone: ConeSpace, degree: int) -> Iterator[tuple[int, ...]]:
     component in order, and e is the exceptional intersection of the
     stratum's lift, which _stratum_base checks equal to the multiplicity.
     The same components, in the same order and with the same checks, as
-    classify, but each stratum is walked through checked_solutions and no
+    classify, but each stratum is walked through graded_solutions and no
     record is built, so memory stays flat however many components there
-    are.  Every row thus has nonnegative coordinates and <beta, ell> =
-    alpha_prime; each non-empty stratum's first row is then lifted and
-    checked, and a row's dimension is the stratum's base plus <beta,
-    chern>.  The vertex row beta = 0, the one class of the stratum d' =
-    0, is the last row where there is one, and no other row has
-    alpha_prime 0.
+    are.  Each vector's one dot product with the packed weights, less
+    m*alpha_prime, is checked to lie in [0, m), and its coordinates to
+    be nonnegative, which together mean <beta, ell> = alpha_prime; a
+    vector that fails raises InternalError.  Each non-empty stratum's
+    first row is then lifted and checked, and a row's dimension is the
+    stratum's base plus that same difference, <beta, chern>.  The vertex
+    row beta = 0, the one class of the stratum d' = 0, is the last row
+    where there is one, and no other row has alpha_prime 0.
     """
-    ell, chern = cone.ell, cone.parabolic.chern_degrees
+    ell = cone.ell
     top = (cone.vertex_dim + 1) * degree + cone.dim_x
+    m, packed = _packed_weights(cone, degree)
     for alpha_prime, mult, rel in _strata(cone, degree):
+        shift = m * alpha_prime
         base = None
-        for beta in checked_solutions(ell, alpha_prime):
+        for beta in graded_solutions(ell, alpha_prime):
+            p = sum(map(mul, beta, packed)) - shift
+            if not 0 <= p < m or min(beta) < 0:
+                raise _off_stratum(beta, alpha_prime)
             if base is None:
                 base = _stratum_base(cone, beta, mult, rel, top)
-            yield beta + (alpha_prime, mult, rel, mult, base + sum(map(mul, beta, chern)))
+            yield beta + (alpha_prime, mult, rel, mult, base + p)
 
 
 def classify(cone: ConeSpace, degree: int) -> ComponentReport:
@@ -462,30 +494,34 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
     lift of its generic curve to the resolution: relative degree
     (n+1)*multiplicity + n*d', so the exceptional intersection equals the
     vertex multiplicity.  Every component is checked to have <beta, ell>
-    = alpha_prime.  Before a stratum's first component is recorded, one
-    conegeom.lift call on its class is checked to have e equal to the
-    multiplicity, to be nonempty, to give the same morphism-space
-    dimension by both routes, and to reproduce the stated dimension; a
-    component's dimension is the stratum's base plus <beta, chern>.  At
-    the end, the number of components is compared with count_components,
-    as the command line compares its rows.  A failure raises
-    InternalError.  equidimensional, whether the components share one
-    dimension, is the verdict of the function of that name, which
-    decides it from ell, the Chern degrees and the degree.
+    = alpha_prime by one dot product with the packed weights: less
+    m*alpha_prime it must lie in [0, m), and it is then <beta, chern>
+    (ne's classes are nonnegative, as the packing needs).  Before a
+    stratum's first component is recorded, one conegeom.lift call on its
+    class is checked to have e equal to the multiplicity, to be
+    nonempty, to give the same morphism-space dimension by both routes,
+    and to reproduce the stated dimension; a component's dimension is
+    the stratum's base plus that <beta, chern>.  At the end, the number
+    of components is compared with count_components, as the command line
+    compares its rows.  A failure raises InternalError.
+    equidimensional, whether the components share one dimension, is the
+    verdict of the function of that name, which decides it from ell, the
+    Chern degrees and the degree.
     """
-    ell, chern = cone.ell, cone.parabolic.chern_degrees
     top = (cone.vertex_dim + 1) * degree + cone.dim_x
+    m, packed = _packed_weights(cone, degree)
     found = []
     for alpha_prime, mult, rel in _strata(cone, degree):
+        shift = m * alpha_prime
         base = None
         for beta in ne(cone, alpha_prime):
             b = beta.coeffs
-            if sum(map(mul, b, ell)) != alpha_prime:
+            p = sum(map(mul, b, packed)) - shift
+            if not 0 <= p < m:
                 raise _off_stratum(b, alpha_prime)
             if base is None:
                 base = _stratum_base(cone, b, mult, rel, top)
-            dim = base + sum(map(mul, b, chern))
-            found.append(ComponentDescriptor(beta, alpha_prime, mult, TildeClass(b, rel), dim))
+            found.append(ComponentDescriptor(beta, alpha_prime, mult, TildeClass(b, rel), base + p))
     components = tuple(found)
     total = count_components(cone, degree)
     if len(components) != total:

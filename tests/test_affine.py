@@ -2,7 +2,7 @@
 
 import hashlib
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -23,6 +23,7 @@ from conecurves import (
     cone_from_ell,
     minimal_ample,
 )
+from oracles import box_scan
 
 # Dual Coxeter numbers, frozen from the classical tables.
 DUAL_COXETER = {
@@ -71,12 +72,6 @@ def test_comark_zero_node_is_one():
 @pytest.mark.parametrize("name", sorted(DUAL_COXETER))
 def test_comark_sums_are_dual_coxeter_numbers(name):
     assert sum(comarks(CartanType.parse(name)).comarks) == DUAL_COXETER[name]
-
-
-def box_scan(weights, level):
-    boxes = [range(level // w + 1) for w in weights]
-    sols = [v for v in product(*boxes) if sum(a * b for a, b in zip(v, weights)) == level]
-    return sorted(sols, key=lambda v: (sum(v), tuple(-c for c in v)))
 
 
 @pytest.mark.parametrize("name", ("A1", "A2", "A4", "B2", "B4", "C3", "D4", "G2", "F4"))

@@ -4,15 +4,17 @@ Each hash is the sha256 of the command's stdout as recorded before the
 classify hot path was rebuilt around conegeom.lift and the graded
 enumerator; a changed hash means the printed output changed.  The
 STREAMED hashes were recorded before classify, ne and TSV output were
-streamed through hand-laid, batched writers, except the last six: two
+streamed through hand-laid, batched writers, except the last eight: two
 recorded before ne and classify shared one batch writer and iter_rows
 yielded the printed row, two, with and without the vertex component,
 whose footers give different verdicts, recorded while the writer
-collected the footer's dimensions, and two whose weights put a general
+collected the footer's dimensions, two whose weights put a general
 enumerator frame above an equal suffix, recorded while each row of that
-suffix still passed through one frame per coordinate.  The E8 `roots`
-and `gp` hashes were recorded while the positive roots were ordered by
-one sort keyed on grade_key.
+suffix still passed through one frame per coordinate, and the
+benchmark's own two command-line calls, recorded while each component
+took one dot product for its stratum check and one for its dimension.
+The E8 `roots` and `gp` hashes were recorded while the positive roots
+were ordered by one sort keyed on grade_key.
 """
 
 import hashlib
@@ -126,6 +128,19 @@ STREAMED = [
         ["classify", "--format", "tsv", "--type", "D4", "--parabolic", "1,2,3,4", "--lambda", "3,2,2,2",
          "--vertex-dim", "1", "--degree", "9"],
         "5a14a1da1995901e1b8600a8fde61b4e660beec6ffe73d7e21958d4f3856e0bf",
+    ),
+    # The benchmark's command-line calls: flag-lines' 6,435 JSON components, and deep-strata's
+    # conic cone (ell = 2, no lines), 751 TSV rows over 1,501 strata.
+    (
+        "classify json E8 flag d=8",
+        ["classify", *E8_FLAG, "--vertex-dim", "1", "--degree", "8"],
+        "be875238341e98698311298ae453be163819463c447f49731afb262dc27cbbfe",
+    ),
+    (
+        "classify tsv conic n=3 d=1500",
+        ["classify", "--format", "tsv", "--type", "A1", "--parabolic", "1", "--lambda", "2",
+         "--vertex-dim", "3", "--degree", "1500"],
+        "9d1024ca139056edf23ee7cbeaf1b09ec1c9906857ce39eb85fc93b7e67a794d",
     ),
 ]
 

@@ -12,6 +12,7 @@ import runpy
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from itertools import chain, combinations
 from pathlib import Path
 
@@ -20,6 +21,7 @@ import pytest
 from conecurves import cli
 from conecurves import (
     CartanType,
+    ConeSpace,
     EffectiveClass,
     InputError,
     InternalError,
@@ -143,6 +145,21 @@ def test_row_outside_its_stratum_is_refused(monkeypatch, capsys, index, shifted)
             run()
         assert str(exc.value) == message
     refused_by_the_cli(capsys, message)
+
+
+@pytest.mark.parametrize(
+    "shift,shifted", [((2, -1), "(4, 0)"), ((0, -1), "(2, 0)")], ids=["one-above", "one-below"]
+)
+def test_row_one_degree_off_on_a_chern_free_coordinate_is_refused(monkeypatch, shift, shifted):
+    # The edges of the packed check: with the first Chern degree set to 0, row (2, 1) of the
+    # one stratum d' = 3 moved to (4, 0) or (2, 0) pairs to exactly m or -m past its stratum.
+    p = build_parabolic(build_root_system(CartanType.parse("A2")), (1, 2))
+    cone = ConeSpace(replace(p, chern_degrees=(0, p.chern_degrees[1])), (1, 1), 1)
+    shifted_row(monkeypatch, 3, 1, shift)
+    for run in (lambda: tuple(iter_rows(cone, 3)), lambda: classify(cone, 3)):
+        with pytest.raises(InternalError) as exc:
+            run()
+        assert str(exc.value) == f"enumerated class {shifted} is not an effective class of degree 3"
 
 
 def test_negative_row_is_refused(monkeypatch, capsys):

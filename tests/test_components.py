@@ -2,8 +2,11 @@
 
 import gc
 import inspect
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations, product
+from operator import mul
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,18 +36,12 @@ from conecurves import (
 )
 from conecurves.components import iter_rows
 from conecurves.parabolic import minimal_ample
+from oracles import box_scan
 
 
 def make_cone(type_name, subset, ell, n):
     rs = build_root_system(CartanType.parse(type_name))
     return cone_from_ell(build_parabolic(rs, subset), ell, n)
-
-
-def box_scan(ell, degree):
-    """Independent oracle: scan the whole box, keep exact-degree vectors."""
-    boxes = [range(degree // l + 1) for l in ell]
-    sols = [v for v in product(*boxes) if sum(a * b for a, b in zip(v, ell)) == degree]
-    return sorted(sols, key=lambda v: (sum(v), tuple(-c for c in v)))
 
 
 def test_ne_examples():
@@ -464,6 +461,30 @@ def test_iter_rows_on_the_e8_full_flag():
     cone = build_cone(p, minimal_ample(p), 1)
     for degree in range(5):
         assert tuple(iter_rows(cone, degree)) == tuple(row_of(cone, c) for c in classify(cone, degree).components)
+
+
+def test_one_packed_dot_product_checks_the_stratum_and_gives_the_chern_pairing():
+    # Brute force over seeded small cones, Chern degrees of 0 included: one dot product
+    # with the packed weights lies in [m*d', m*d' + m) exactly when <beta, ell> = d', and
+    # then the excess is <beta, c>.  A Chern degree of 0 lets a class one degree above its
+    # stratum land on m itself, the least value the check refuses.
+    rng = random.Random(2009)
+    for draw in range(40):
+        k = rng.randint(1, 4)
+        ell = tuple(rng.randint(1, 5) for _ in range(k))
+        chern = [rng.randint(0, 6) for _ in range(k)]
+        if draw % 2:
+            chern[rng.randrange(k)] = 0
+        degree = rng.randint(0, 12)
+        cone = SimpleNamespace(ell=ell, parabolic=SimpleNamespace(chern_degrees=tuple(chern)))
+        m, packed = components._packed_weights(cone, degree)
+        for beta in product(range(degree + 1), repeat=k):
+            dot = sum(map(mul, beta, packed))
+            l, c = sum(map(mul, beta, ell)), sum(map(mul, beta, chern))
+            for dp in range(degree + 1):
+                p = dot - m * dp
+                assert (0 <= p < m) == (l == dp), (ell, chern, degree, beta, dp)
+                assert l != dp or p == c
 
 
 def test_iter_rows_rejects_negative_degree():

@@ -21,6 +21,7 @@ from conecurves import (
 )
 from conecurves import components
 from conecurves.components import _count_by_halving, count_solutions, graded_solutions
+from oracles import box_scan
 
 E8_COMARKS = (1, 2, 3, 4, 6, 5, 4, 3, 2)
 F4_COMARKS = (1, 2, 3, 2, 1)
@@ -29,13 +30,6 @@ F4_COMARKS = (1, 2, 3, 2, 1)
 @pytest.mark.parametrize("name, vector", [("E8", E8_COMARKS), ("F4", F4_COMARKS)])
 def test_the_comark_constants_are_the_comarks_of_their_type(name, vector):
     assert vector == comarks(CartanType.parse(name)).comarks
-
-
-def sorted_box_scan(weights, target):
-    """Reference: every vector of the box, kept at exact degree, then sorted by grade."""
-    boxes = [range(target // w + 1) for w in weights]
-    sols = [v for v in product(*boxes) if sum(a * b for a, b in zip(v, weights)) == target]
-    return sorted(sols, key=lambda v: (sum(v), tuple(-c for c in v)))
 
 
 def series(weights, degree):
@@ -66,7 +60,7 @@ def test_all_small_weight_vectors_match_sorted_box_scan():
     for k in (1, 2, 3):
         for weights in product(range(1, 5), repeat=k):
             for target in range(11):
-                want = sorted_box_scan(weights, target)
+                want = box_scan(weights, target)
                 assert list(graded_solutions(weights, target)) == want, (weights, target)
                 assert count_solutions(weights, target) == len(want), (weights, target)
 
@@ -85,7 +79,7 @@ def test_all_small_weight_vectors_match_sorted_box_scan():
 )
 def test_mixed_weights_match_sorted_box_scan(weights):
     for target in range(9):
-        want = sorted_box_scan(weights, target)
+        want = box_scan(weights, target)
         assert list(graded_solutions(weights, target)) == want, target
         assert count_solutions(weights, target) == len(want), target
 
@@ -128,7 +122,7 @@ def test_equal_tails_of_every_length_match_sorted_box_scan():
             if prod(target // w + 1 for w in weights) > 7000:
                 break
             got = list(graded_solutions(weights, target))
-            assert got == sorted_box_scan(weights, target), (weights, target)
+            assert got == box_scan(weights, target), (weights, target)
             if any(sum(map(bool, v[e:])) >= 2 for v in got):
                 spread.add((k, k - e))
     # Each tail of two or more coordinates listed a row that splits its sum.
