@@ -46,7 +46,7 @@ def comarks(ctype: CartanType) -> AffineData:
     return AffineData(ctype, subsystem_comarks(rs, highest_root(rs)))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class AffineComparison:
     """Side-by-side counts: effective classes vs level-exactly-degree affine weights."""
 
@@ -57,27 +57,11 @@ class AffineComparison:
     factor_nodes: tuple[tuple[int, ...], ...]
     factor_comarks: tuple[tuple[int, ...], ...]
 
-    # One per compare_ne_ir call: a hand-written __init__ (init=False: dataclass generates none) is cheaper
-    # than a generated one.
-    def __init__(
-        self,
-        degree: int,
-        ne_count: int,
-        ir_count: int,
-        match: bool,
-        factor_nodes: tuple[tuple[int, ...], ...],
-        factor_comarks: tuple[tuple[int, ...], ...],
-    ) -> None:
-        _set_degree(self, degree)
-        _set_ne_count(self, ne_count)
-        _set_ir_count(self, ir_count)
-        _set_match(self, match)
-        _set_factor_nodes(self, factor_nodes)
-        _set_factor_comarks(self, factor_comarks)
 
-
-# A slot's member descriptor, bound once: its __set__ writes the slot past the frozen
-# __setattr__, without the lookup on the type that object.__setattr__ makes at every call.
+# Slots' member descriptors, bound once: each __set__ writes its slot past the frozen __setattr__,
+# without the lookup on the type that object.__setattr__ makes at every call.  compare_ne_ir fills
+# a bare instance from object.__new__ through them, with no constructor frame.
+_new = object.__new__
 _set_degree = AffineComparison.degree.__set__
 _set_ne_count = AffineComparison.ne_count.__set__
 _set_ir_count = AffineComparison.ir_count.__set__
@@ -98,7 +82,9 @@ def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:
     comark vectors concatenated, which the parabolic keeps
     (ParabolicData.factor_split).  With every node marked there is a
     single factor, the whole algebra.  Both counts are returned
-    with a match flag; no equality is asserted.
+    with a match flag; no equality is asserted.  The record is made by
+    object.__new__ and filled through its slots' descriptors, with no
+    constructor call: the one object the generated __init__ would make.
     """
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
@@ -108,4 +94,11 @@ def compare_ne_ir(cone: ConeSpace, degree: int) -> AffineComparison:
     nodes, vecs, joined = cone.parabolic.factor_split
     ne_count = components.count_solutions(ell, degree)
     ir_count = components.count_solutions(joined, degree)
-    return AffineComparison(degree, ne_count, ir_count, ne_count == ir_count, nodes, vecs)
+    cmp = _new(AffineComparison)
+    _set_degree(cmp, degree)
+    _set_ne_count(cmp, ne_count)
+    _set_ir_count(cmp, ir_count)
+    _set_match(cmp, ne_count == ir_count)
+    _set_factor_nodes(cmp, nodes)
+    _set_factor_comarks(cmp, vecs)
+    return cmp

@@ -52,12 +52,17 @@ place, so they list the same components in the same order under the
 same checks.
 
 The records (EffectiveClass, ComponentDescriptor, and TildeClass from
-conegeom) are frozen, slotted dataclasses with hand-written
-constructors that set each field through its slot's member descriptor,
-bound once at import.  Each record is one object tracked by the garbage
-collector, so classify's records add three such objects per component;
-the collector runs on a count of them, and a record that made more would
-move its collections.
+conegeom) are frozen, slotted dataclasses.  Only EffectiveClass keeps a
+hand-written __init__, because it checks its coordinates for public
+callers and replace(); the other two have the generated one.  The hot
+loops call no constructor: ne makes each class, and classify each
+TildeClass and then its ComponentDescriptor, by object.__new__, and
+fills the slots through their member descriptors, bound once at import
+in this module.  Each record is one object tracked by the garbage
+collector, so classify's records add three such objects per component,
+exactly the objects, in the same order, that the constructors would
+make; the collector runs on a count of them, and a loop that made more
+would move its collections.
 
 Index sets come from one enumerator, graded_solutions, which emits the
 vectors of a fixed weighted degree already in grade_key order (ascending
@@ -117,20 +122,16 @@ class EffectiveClass:
 
     coeffs: tuple[int, ...]
 
-    # One per class from ne: this __init__ (init=False: dataclass generates none, and replace() runs this
-    # one) checks with a plain min(), at about half the cost of a generated __init__ plus a __post_init__.
+    # For public callers and replace(): this __init__ (init=False: dataclass generates none) checks
+    # with a plain min(), at about half the cost of a generated __init__ plus a __post_init__.  ne makes
+    # its classes without it, with the same check in its own loop.
     def __init__(self, coeffs: tuple[int, ...]) -> None:
         if coeffs and min(coeffs) < 0:
             raise InputError(f"effective class must have nonnegative coordinates, got {coeffs}")
         _set_coeffs(self, coeffs)
 
 
-# A slot's member descriptor, bound once: its __set__ writes the slot past the frozen
-# __setattr__, without the lookup on the type that object.__setattr__ makes at every call.
-_set_coeffs = EffectiveClass.coeffs.__set__
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ComponentDescriptor:
     """One irreducible component: base class, degrees, vertex multiplicity, dimension."""
 
@@ -140,18 +141,14 @@ class ComponentDescriptor:
     tilde: TildeClass
     dimension: int
 
-    # One per component: a hand-written __init__ (init=False: dataclass generates none) is cheaper
-    # than a generated one.
-    def __init__(
-        self, beta: EffectiveClass, alpha_prime: int, vertex_multiplicity: int, tilde: TildeClass, dimension: int
-    ) -> None:
-        _set_beta(self, beta)
-        _set_alpha_prime(self, alpha_prime)
-        _set_vertex_multiplicity(self, vertex_multiplicity)
-        _set_tilde(self, tilde)
-        _set_dimension(self, dimension)
 
-
+# Slots' member descriptors, bound once: each __set__ writes its slot past the frozen __setattr__,
+# without the lookup on the type that object.__setattr__ makes at every call.  ne and classify fill
+# bare instances from object.__new__ through them, with no constructor frame per record.
+_new = object.__new__
+_set_coeffs = EffectiveClass.coeffs.__set__
+_set_tilde_beta = TildeClass.beta.__set__
+_set_relative_degree = TildeClass.relative_degree.__set__
 _set_beta = ComponentDescriptor.beta.__set__
 _set_alpha_prime = ComponentDescriptor.alpha_prime.__set__
 _set_vertex_multiplicity = ComponentDescriptor.vertex_multiplicity.__set__
@@ -194,17 +191,21 @@ def ne(cone: ConeSpace, degree: int) -> list[EffectiveClass]:
 
     All nonnegative integer vectors v with <v, ell> = degree, ordered by
     ascending coordinate sum and then by decreasing leading coordinates.
-    ne(0) = {0}.  A vector EffectiveClass refuses is an enumerator fault
-    and raises InternalError.
+    ne(0) = {0}.  Each vector is checked to be nonnegative, the check
+    EffectiveClass makes, and one that fails is an enumerator fault and
+    raises InternalError.  Each class is made by object.__new__ and its
+    coeffs set through the slot's descriptor, with no constructor call:
+    the one object EffectiveClass(v) would make.
     """
     if degree < 0:
         raise InputError(f"degree must be >= 0, got {degree}")
     classes = []
     for v in graded_solutions(cone.ell, degree):
-        try:
-            classes.append(EffectiveClass(v))
-        except InputError:
-            raise _off_stratum(v, degree) from None
+        if min(v) < 0:
+            raise _off_stratum(v, degree)
+        beta = _new(EffectiveClass)
+        _set_coeffs(beta, v)
+        classes.append(beta)
     return classes
 
 
@@ -501,7 +502,11 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
     class is checked to have e equal to the multiplicity, to be
     nonempty, to give the same morphism-space dimension by both routes,
     and to reproduce the stated dimension; a component's dimension is
-    the stratum's base plus that <beta, chern>.  At the end, the number
+    the stratum's base plus that <beta, chern>.  Each component's
+    TildeClass, then its ComponentDescriptor, is made by object.__new__
+    and filled through its slots' descriptors, with no constructor call:
+    the two objects, in the order, that ComponentDescriptor(beta, ...,
+    TildeClass(b, rel), dimension) would make.  At the end, the number
     of components is compared with count_components, as the command line
     compares its rows.  A failure raises InternalError.
     equidimensional, whether the components share one dimension, is the
@@ -521,7 +526,16 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
                 raise _off_stratum(b, alpha_prime)
             if base is None:
                 base = _stratum_base(cone, b, mult, rel, top)
-            found.append(ComponentDescriptor(beta, alpha_prime, mult, TildeClass(b, rel), base + p))
+            tilde = _new(TildeClass)
+            _set_tilde_beta(tilde, b)
+            _set_relative_degree(tilde, rel)
+            c = _new(ComponentDescriptor)
+            _set_beta(c, beta)
+            _set_alpha_prime(c, alpha_prime)
+            _set_vertex_multiplicity(c, mult)
+            _set_tilde(c, tilde)
+            _set_dimension(c, base + p)
+            found.append(c)
     components = tuple(found)
     total = count_components(cone, degree)
     if len(components) != total:

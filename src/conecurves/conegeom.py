@@ -74,22 +74,12 @@ _set_ell = ConeSpace.ell.__set__
 _set_vertex_dim = ConeSpace.vertex_dim.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class TildeClass:
     """A curve class on the resolution: base class plus relative degree."""
 
     beta: tuple[int, ...]
     relative_degree: int
-
-    # One per component: a hand-written __init__ (init=False: dataclass generates none) is cheaper
-    # than a generated one.
-    def __init__(self, beta: tuple[int, ...], relative_degree: int) -> None:
-        _set_beta(self, beta)
-        _set_relative_degree(self, relative_degree)
-
-
-_set_beta = TildeClass.beta.__set__
-_set_relative_degree = TildeClass.relative_degree.__set__
 
 
 def build_cone(p: ParabolicData, lam: Weight, vertex_dim: int) -> ConeSpace:

@@ -18,10 +18,13 @@ were ordered by one sort keyed on grade_key.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from conecurves.cli import main
+from conecurves import CartanType, build_cone, build_parabolic, build_root_system, classify
+from conecurves.cli import main, report_to_dict
+from conecurves.parabolic import minimal_ample
 
 E8_FLAG = ["--type", "E8", "--parabolic", "1,2,3,4,5,6,7,8", "--lambda", "min"]
 
@@ -154,3 +157,14 @@ def test_stdout_hash_unchanged(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("degree", [6, 8])
+def test_library_records_of_the_e8_flag_serialize_to_the_golden_json(degree):
+    # The command line prints rows, never classify's records; these are the records the library
+    # returns at the benchmark's flag-lines inputs, held to the hashes of the same JSON above.
+    argv = ["classify", *E8_FLAG, "--vertex-dim", "1", "--degree", str(degree)]
+    digest = {tuple(a): h for a, h in GOLDEN} | {tuple(a): h for _, a, h in STREAMED}
+    p = build_parabolic(build_root_system(CartanType.parse("E8")), tuple(range(1, 9)))
+    text = json.dumps(report_to_dict(classify(build_cone(p, minimal_ample(p), 1), degree)), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest[tuple(argv)]
