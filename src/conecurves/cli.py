@@ -31,8 +31,8 @@ stay few when stdout is unbuffered (python -u, PYTHONUNBUFFERED=1).
 When the rows end it compares their number (before the
 --exclude-vertex-stratum filter) with the count from the generating
 function; a mismatch exits 3 before the last batch or the footer is
-written.  Writing starts before the last row and the last stratum's lift
-are checked, so on exit code 3 stdout may hold a truncated document.
+written.  Writing starts before the last row is checked, so on exit code
+3 stdout may hold a truncated document.
 The JSON footer's "equidimensional" is components.equidimensional's
 verdict, with or without the vertex component as
 --exclude-vertex-stratum says; it is decided from ell, the Chern degrees
@@ -155,7 +155,7 @@ def report_to_dict(report: ComponentReport) -> dict:
                 "alpha_prime": c.alpha_prime,
                 "vertex_multiplicity": c.vertex_multiplicity,
                 "relative_degree": c.tilde.relative_degree,
-                "e": c.vertex_multiplicity,  # classify checked it equal to e
+                "e": c.vertex_multiplicity,  # equal to e: components._stratum_base has the proof
                 "dimension": c.dimension,
             }
             for c in report.components
@@ -178,10 +178,10 @@ def _write_rows(
     of the stream is counted, the vertex row and anything after it
     included, and when the rows end (a batch is short, or lost the
     vertex row) their number is compared with total; a mismatch raises
-    InternalError before that last batch is written.  So when the count,
-    a row's check or a lift's check fails (exit code 3), stdout holds
-    head and full batches only, and no footer: nothing when the failure
-    comes within the first batch.  head goes out with the first batch,
+    InternalError before that last batch is written.  So when the count
+    or a row's check fails (exit code 3), stdout holds head and full
+    batches only, and no footer: nothing when the failure comes within
+    the first batch.  head goes out with the first batch,
     alone when no row is written.  Returns the number of rows written.
     """
     if total > _MAX_CLASSES:

@@ -11,23 +11,26 @@ component dimension is
 
     <beta, chern - ell> + (n + 1) * d + dim_x,
 
-which is cross-checked against the morphism-space dimension of the
-lifted class on the resolution once per stratum.  Within a stratum (d',
-m) every class has l = <beta, ell> = d', exceptional intersection e = m,
-the same relative degree (n+1)*m + n*d' and the same nonemptiness test,
-and <beta, chern> shifts the lift's two morphism-space dimensions and
-the stated dimension by the same amount.  So the four checks of
-conegeom.lift give every class of a stratum the verdict they give its
-first class, and one lift call, on that first class, yields the base
-(the checked dimension less <beta, chern>) to which each component adds
-its own <beta, chern>.  What the shared lift cannot vouch for is that a
-class lies in its stratum, so each one is checked to have <beta, ell> =
-d' (and, on rows, nonnegative coordinates); a failure raises
-InternalError.  One dot product gives both the check and <beta, chern>:
-_packed_weights packs ell and chern into one weight vector with a radix
-m above every <beta, chern> of the strata (Kronecker substitution), and
-<beta, packed> - m*d' lies in [0, m) exactly when <beta, ell> = d', and
-is then <beta, chern> (its docstring has the proof).
+the dimension of the morphism space of the lifted class on the
+resolution.  Within a stratum (d', m) every class has l = <beta, ell> =
+d', exceptional intersection e = m and the same relative degree
+(n+1)*m + n*d', and <beta, chern> shifts that dimension and the formula
+alike.  So one conegeom.lift call, on a stratum's first class, yields
+the base (the morphism-space dimension less <beta, chern>) to which
+each component adds its own <beta, chern>, and the formula equals the
+result by the proof in _stratum_base's docstring.  Those identities are
+not checked at run time: a wrong Chern degree or dim G/P would move
+both sides.  The checks that can fail on a dimension are selfcheck's
+toric count (and tests/test_toric_oracle.py), bench/checks.py, and
+tests/test_presentations.py, which compares presentations of one
+variety.  What the shared lift cannot give is that a class lies in its
+stratum, so each one is checked to have <beta, ell> = d' (and, on rows,
+nonnegative coordinates); a failure raises InternalError.  One dot
+product gives both the check and <beta, chern>: _packed_weights packs
+ell and chern into one weight vector with a radix m above every <beta,
+chern> of the strata (Kronecker substitution), and <beta, packed> -
+m*d' lies in [0, m) exactly when <beta, ell> = d', and is then <beta,
+chern> (its docstring has the proof).
 
 Whether the components share one dimension depends only on which beta
 occur, and so only on ell and d: equidimensional decides it from ell,
@@ -47,9 +50,9 @@ prints checked_solutions, graded_solutions with the same two checks
 made by <v, ell> and min(v), so every row the command line prints has
 passed them.  The library API takes records: classify lists each
 stratum by ne and builds a ComponentDescriptor per component.  Both take
-the strata, the per-stratum lift check and the packed weights from one
-place, so they list the same components in the same order under the
-same checks.
+the strata, the per-stratum lift and the packed weights from one place,
+so they list the same components in the same order under the same
+checks.
 
 The records (EffectiveClass, ComponentDescriptor, and TildeClass from
 conegeom) are frozen, slotted dataclasses.  Only EffectiveClass keeps a
@@ -394,27 +397,30 @@ def _strata(cone: ConeSpace, degree: int) -> list[tuple[int, int, int]]:
     return [(dp, degree - dp, (n + 1) * (degree - dp) + n * dp) for dp in dps]
 
 
-def _stratum_base(cone: ConeSpace, beta: tuple[int, ...], mult: int, rel: int, top: int) -> int:
+def _stratum_base(cone: ConeSpace, beta: tuple[int, ...], rel: int) -> int:
     """The dimension of a stratum's components less <beta, chern>, from one conegeom.lift call.
 
-    beta is the stratum's first class and top is (n+1)*degree + dim_x.
-    The lift of (beta, rel) must have e equal to the multiplicity, be
-    nonempty, give the same morphism-space dimension by both routes, and
-    reproduce the stated dimension <beta, chern - ell> + top; a failure
-    raises InternalError.  Every class of the stratum has the dimension
-    this returns plus its own <beta, chern> (see the module docstring).
+    beta is the stratum's first class, already checked to be nonnegative
+    with <beta, ell> = d', and rel = (n+1)*m + n*d' is the stratum's
+    relative degree, m = degree - d' its multiplicity.  Returns the
+    lift's dim_branch - <beta, chern>, and compares nothing, because all
+    that a comparison could test holds by algebra:
+      e = (rel - n*d') / (n+1) = m;
+      the class is nonempty: beta >= 0 and rel >= n*d' >= d' >= -d',
+        which meets the test for n = 1 (d >= l) and for n >= 2 (d >= -l);
+      x = d' + m >= l = d', so the fiber is rel + n, the base-plus-fiber
+        route <beta, chern> + dim(G/P) + rel + n is the branch route
+        <beta, chern> + rel + dim_x (e = m >= 0), and base_fiber = branch;
+      (n+1)*degree - d' = (n+1)*m + n*d' = rel, so the stated dimension
+        <beta, chern - ell> + (n+1)*degree + dim_x is <beta, chern> +
+        rel + dim_x, the branch route again.
+    So the base is rel + dim_x, and every class of the stratum, sharing
+    l, e and rel, has it plus its own <beta, chern>.  A wrong Chern
+    degree or dim G/P moves both sides of each identity alike; the checks
+    that can fail on a dimension are named in the module docstring.
     """
-    l, chern_base, e, _, nonempty, _, _, branch, base_fiber = lift(cone, beta, rel)
-    if e != mult or not nonempty:
-        raise InternalError(f"constructed lift {TildeClass(beta, rel)} is not a valid nonempty class")
-    if branch != base_fiber:
-        raise InternalError(f"dimension routes disagree: {branch} != {base_fiber} for {TildeClass(beta, rel)}")
-    dim = chern_base - l + top
-    if dim != branch:
-        raise InternalError(
-            f"component dimension {dim} disagrees with the lifted morphism space for {TildeClass(beta, rel)}"
-        )
-    return dim - chern_base
+    lf = lift(cone, beta, rel)
+    return lf.dim_branch - lf.chern_base
 
 
 def _packed_weights(cone: ConeSpace, degree: int) -> tuple[int, tuple[int, ...]]:
@@ -459,7 +465,8 @@ def iter_rows(cone: ConeSpace, degree: int) -> Iterator[tuple[int, ...]]:
     Each row is (*beta, alpha_prime, vertex_multiplicity,
     relative_degree, e, dimension), the fields of a classify JSON
     component in order, and e is the exceptional intersection of the
-    stratum's lift, which _stratum_base checks equal to the multiplicity.
+    stratum's lift, which equals the multiplicity (_stratum_base has the
+    proof).
     The same components, in the same order and with the same checks, as
     classify, but each stratum is walked through graded_solutions and no
     record is built, so memory stays flat however many components there
@@ -467,13 +474,12 @@ def iter_rows(cone: ConeSpace, degree: int) -> Iterator[tuple[int, ...]]:
     m*alpha_prime, is checked to lie in [0, m), and its coordinates to
     be nonnegative, which together mean <beta, ell> = alpha_prime; a
     vector that fails raises InternalError.  Each non-empty stratum's
-    first row is then lifted and checked, and a row's dimension is the
-    stratum's base plus that same difference, <beta, chern>.  The vertex
+    first row is then lifted, and a row's dimension is the stratum's
+    base plus that same difference, <beta, chern>.  The vertex
     row beta = 0, the one class of the stratum d' = 0, is the last row
     where there is one, and no other row has alpha_prime 0.
     """
     ell = cone.ell
-    top = (cone.vertex_dim + 1) * degree + cone.dim_x
     m, packed = _packed_weights(cone, degree)
     for alpha_prime, mult, rel in _strata(cone, degree):
         shift = m * alpha_prime
@@ -483,7 +489,7 @@ def iter_rows(cone: ConeSpace, degree: int) -> Iterator[tuple[int, ...]]:
             if not 0 <= p < m or min(beta) < 0:
                 raise _off_stratum(beta, alpha_prime)
             if base is None:
-                base = _stratum_base(cone, beta, mult, rel, top)
+                base = _stratum_base(cone, beta, rel)
             yield beta + (alpha_prime, mult, rel, mult, base + p)
 
 
@@ -497,14 +503,13 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
     vertex multiplicity.  Every component is checked to have <beta, ell>
     = alpha_prime by one dot product with the packed weights: less
     m*alpha_prime it must lie in [0, m), and it is then <beta, chern>
-    (ne's classes are nonnegative, as the packing needs).  Before a
-    stratum's first component is recorded, one conegeom.lift call on its
-    class is checked to have e equal to the multiplicity, to be
-    nonempty, to give the same morphism-space dimension by both routes,
-    and to reproduce the stated dimension; a component's dimension is
-    the stratum's base plus that <beta, chern>.  Each component's
-    TildeClass, then its ComponentDescriptor, is made by object.__new__
-    and filled through its slots' descriptors, with no constructor call:
+    (ne's classes are nonnegative, as the packing needs).  One
+    conegeom.lift call on a stratum's first class gives the stratum's
+    base, the lifted class's morphism-space dimension less <beta,
+    chern>, and a component's dimension is that base plus its own
+    <beta, chern>.  Each component's TildeClass, then its
+    ComponentDescriptor, is made by object.__new__ and filled through
+    its slots' descriptors, with no constructor call:
     the two objects, in the order, that ComponentDescriptor(beta, ...,
     TildeClass(b, rel), dimension) would make.  At the end, the number
     of components is compared with count_components, as the command line
@@ -513,7 +518,6 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
     verdict of the function of that name, which decides it from ell, the
     Chern degrees and the degree.
     """
-    top = (cone.vertex_dim + 1) * degree + cone.dim_x
     m, packed = _packed_weights(cone, degree)
     found = []
     for alpha_prime, mult, rel in _strata(cone, degree):
@@ -525,7 +529,7 @@ def classify(cone: ConeSpace, degree: int) -> ComponentReport:
             if not 0 <= p < m:
                 raise _off_stratum(b, alpha_prime)
             if base is None:
-                base = _stratum_base(cone, b, mult, rel, top)
+                base = _stratum_base(cone, b, rel)
             tilde = _new(TildeClass)
             _set_tilde_beta(tilde, b)
             _set_relative_degree(tilde, rel)

@@ -160,6 +160,15 @@ def lift(cone: ConeSpace, beta: tuple[int, ...], relative_degree: int) -> Lift:
     * dim_branch: chern_degree + dim_x when d >= n*l (e >= 0), and
       chern_degree + dim_x - e - 1 when d < n*l (e < 0);
     * dim_base_fiber: <beta, chern> + dim(G/P) + fiber_dim.
+
+    The two routes agree on every nonempty class.  Since x - l = e, the
+    fiber's case x < l is the case e < 0.  With e >= 0 the fiber is
+    d + n, so dim_base_fiber = <beta, chern> + dim(G/P) + n + d =
+    chern_degree + dim_x = dim_branch.  With e < 0,
+    dim_branch - dim_base_fiber = (d + n - e - 1) - (n*x + n - 1) =
+    d - e - n*x = 0, because d = n*l + (n+1)*e = n*x + e.  A wrong Chern
+    degree or dim G/P moves both routes alike, so their comparison in
+    dim_mor_tilde guards this function's arithmetic, not the formulas.
     """
     _check_beta(cone, beta)
     n = cone.vertex_dim

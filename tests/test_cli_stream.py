@@ -74,33 +74,26 @@ def test_classify_json_equals_json_dumps_of_report_to_dict(type_name):
             assert stdout_of(["classify", "--exclude-vertex-stratum", *argv, "--degree", str(degree)]) == want
 
 
-# No lines: strata d' = 14 and 12 hold 3,432 + 1,716 rows (d' = 13 is empty), so
-# the third stratum's lift comes after one full batch has gone out.
+# No lines: strata d' = 14 and 12 hold 3,432 + 1,716 rows (d' = 13 is empty), so row
+# 664 of the d' = 12 stratum is the first row of the second batch: 3,432 + 664 = _WRITE_BATCH.
 E8_NO_LINES = ["--type", "E8", "--parabolic", "1,2,3,4,5,6,7,8", "--lambda", "2,2,2,2,2,2,2,2",
                "--vertex-dim", "1", "--degree", "14"]
 
 
-@pytest.mark.parametrize("bad_lift", [2, 3], ids=["first-batch", "later-batch"])
-def test_lift_failure_mid_stream_exits_3_with_one_line(monkeypatch, capsys, bad_lift):
+@pytest.mark.parametrize("index", [663, 664], ids=["first-batch", "later-batch"])
+def test_row_off_its_stratum_mid_stream_exits_3_with_one_line(monkeypatch, capsys, index):
     argv = ["classify", *E8_NO_LINES]
     full = stdout_of(argv)
-    real = components.lift
-    calls = []
-
-    def corrupted(cone, beta, d):
-        calls.append(None)
-        lf = real(cone, beta, d)
-        return lf._replace(e=lf.e + 1) if len(calls) == bad_lift else lf
-
-    monkeypatch.setattr(components, "lift", corrupted)
+    assert 3432 + 664 == _WRITE_BATCH
+    v = list(components.graded_solutions((2,) * 8, 12))[index]
+    shifted_row(monkeypatch, 12, index, (1,) + (0,) * 7)  # one degree above its stratum
     assert main(argv) == 3
     out, err = capsys.readouterr()
-    assert err.startswith("internal error:") and err.count("\n") == 1
-    assert len(calls) == bad_lift  # one lift per stratum, and the run stopped at the bad one
-    if bad_lift == 2:
-        assert out == ""  # the first stratum is smaller than a batch
+    assert err == f"internal error: enumerated class {(v[0] + 1, *v[1:])} is not an effective class of degree 12\n"
+    if index < 664:
+        assert out == ""  # the bad row falls within the first batch
     else:
-        # Writing starts before the last check, so stdout holds a truncated document.
+        # Writing starts before the last check, so stdout holds a truncated document: one batch.
         assert full.startswith(out) and 0 < len(out) < len(full)
         assert out.count('"beta"') == _WRITE_BATCH
 
